@@ -43,6 +43,10 @@ examples:
 # gitignored _artifacts/ directory; CI uploads it wholesale.
 ARTIFACTS := _artifacts
 
+# Base seed of the seeded chaos campaigns (chaos-mem, chaos-durable,
+# chaos-net, chaos-txn, chaos-reconfig); CI sweeps it per campaign.
+SEED ?= 0
+
 # Fault-injection campaign (E14): seeded chaos / crash-storm nemeses over
 # Figures 1 and 3 with the observation checker on; each run writes a JSON
 # metrics summary (uploaded as a CI artifact).  Budgeted well under 60 s.
@@ -61,24 +65,22 @@ chaos:
 # Memory-fault campaign (E15, docs/MODEL.md §9): raw Figure 3 must break
 # under seeded corruption (the shrunk witness is saved; the committed
 # reference witness lives in schedules/), and the same algorithms functored
-# over hardened registers must pass the identical storm.  CHAOS_MEM_SEED
-# lets CI sweep seeds.
-CHAOS_MEM_SEED ?= 0
+# over hardened registers must pass the identical storm.
 chaos-mem:
 	dune build bin/simulate.exe
 	mkdir -p $(ARTIFACTS)
 	dune exec bin/simulate.exe -- --impl fig3 --mem-faults corrupt \
-	  --mem-rate 0.05 --mem-max 12 --seed $(CHAOS_MEM_SEED) --seeds 20 \
+	  --mem-rate 0.05 --mem-max 12 --seed $(SEED) --seeds 20 \
 	  --check --expect-violations --shrink \
-	  --replay-file $(ARTIFACTS)/e15-fig3-corrupt-$(CHAOS_MEM_SEED).sched \
-	  --json $(ARTIFACTS)/chaos-mem-fig3-raw-$(CHAOS_MEM_SEED).json
+	  --replay-file $(ARTIFACTS)/e15-fig3-corrupt-$(SEED).sched \
+	  --json $(ARTIFACTS)/chaos-mem-fig3-raw-$(SEED).json
 	dune exec bin/simulate.exe -- --impl fig3-hardened --mem-faults corrupt \
-	  --mem-rate 0.05 --mem-max 12 --seed $(CHAOS_MEM_SEED) --seeds 20 \
-	  --check --json $(ARTIFACTS)/chaos-mem-fig3-hardened-$(CHAOS_MEM_SEED).json
+	  --mem-rate 0.05 --mem-max 12 --seed $(SEED) --seeds 20 \
+	  --check --json $(ARTIFACTS)/chaos-mem-fig3-hardened-$(SEED).json
 	dune exec bin/simulate.exe -- --impl fig1-hardened \
 	  --mem-faults corrupt,stale,lose --mem-rate 0.03 --mem-max 8 \
-	  --seed $(CHAOS_MEM_SEED) --seeds 10 \
-	  --check --json $(ARTIFACTS)/chaos-mem-fig1-hardened-$(CHAOS_MEM_SEED).json
+	  --seed $(SEED) --seeds 10 \
+	  --check --json $(ARTIFACTS)/chaos-mem-fig1-hardened-$(SEED).json
 
 # Serving-layer smoke (E16): drive the flat and sharded Figure 3 through
 # the multicore loadgen on 2 domains, short budget, JSON summaries
@@ -130,25 +132,23 @@ chaos-runtime:
 # actually catches committed-then-lost recovery bugs (its shrunk witness
 # lands in _artifacts/; the committed reference witness lives in
 # schedules/); the loadgen run prices the WAL against plain fig3.
-# CHAOS_DURABLE_SEED lets CI sweep seeds.
-CHAOS_DURABLE_SEED ?= 0
 chaos-durable:
 	dune build bin/simulate.exe bin/loadgen.exe
 	mkdir -p $(ARTIFACTS)
 	dune exec bin/simulate.exe -- --impl durable -m 8 -r 4 --updaters 2 \
 	  --updates 5 --scanners 1 --scans 3 --power-loss sweep \
-	  --seed $(CHAOS_DURABLE_SEED) --seeds 2 \
-	  --json $(ARTIFACTS)/chaos-durable-sweep-$(CHAOS_DURABLE_SEED).json
+	  --seed $(SEED) --seeds 2 \
+	  --json $(ARTIFACTS)/chaos-durable-sweep-$(SEED).json
 	dune exec bin/simulate.exe -- --impl durable --power-loss storm \
 	  --nemesis storm --checkpoint-every 4 \
-	  --seed $(CHAOS_DURABLE_SEED) --seeds 20 \
-	  --json $(ARTIFACTS)/chaos-durable-storm-$(CHAOS_DURABLE_SEED).json
+	  --seed $(SEED) --seeds 20 \
+	  --json $(ARTIFACTS)/chaos-durable-storm-$(SEED).json
 	dune exec bin/simulate.exe -- --impl durable -m 4 -r 4 --updaters 1 \
 	  --updates 3 --scanners 2 --scans 6 --power-loss sweep \
 	  --wal-mode late-log --expect-violations --shrink \
 	  --seed 1 --seeds 1 \
-	  --replay-file $(ARTIFACTS)/e18-durable-latelog-$(CHAOS_DURABLE_SEED).sched \
-	  --json $(ARTIFACTS)/chaos-durable-latelog-$(CHAOS_DURABLE_SEED).json
+	  --replay-file $(ARTIFACTS)/e18-durable-latelog-$(SEED).sched \
+	  --json $(ARTIFACTS)/chaos-durable-latelog-$(SEED).json
 	dune exec bin/loadgen.exe -- --impl durable -m 1024 -r 16 --domains 2 \
 	  --mix 1u+1s --scan window --duration 500ms --warmup 0.1s --seed 42 \
 	  --json $(ARTIFACTS)/loadgen-durable.json
@@ -158,22 +158,21 @@ chaos-durable:
 # floods, lag spikes — with the observation checker on, plus a loadgen
 # smoke of the replicated service (replica domains over the mutex-guarded
 # transport).  The weak-read witness is committed in schedules/ and
-# replayed by dune runtest.  CHAOS_NET_SEED lets CI sweep seeds.
-CHAOS_NET_SEED ?= 0
+# replayed by dune runtest.
 chaos-net:
 	dune build bin/simulate.exe bin/loadgen.exe
 	mkdir -p $(ARTIFACTS)
 	dune exec bin/simulate.exe -- --impl fig3 --mem net --replicas 3 \
-	  --net-nemesis partition_storm --seed $(CHAOS_NET_SEED) --seeds 3 \
-	  --check --json $(ARTIFACTS)/chaos-net-partition-$(CHAOS_NET_SEED).json
+	  --net-nemesis partition_storm --seed $(SEED) --seeds 3 \
+	  --check --json $(ARTIFACTS)/chaos-net-partition-$(SEED).json
 	dune exec bin/simulate.exe -- --impl fig3 --mem net --replicas 3 \
-	  --net-nemesis dup_flood --net-rate 0.1 --seed $(CHAOS_NET_SEED) \
+	  --net-nemesis dup_flood --net-rate 0.1 --seed $(SEED) \
 	  --seeds 3 --check \
-	  --json $(ARTIFACTS)/chaos-net-dup-$(CHAOS_NET_SEED).json
+	  --json $(ARTIFACTS)/chaos-net-dup-$(SEED).json
 	dune exec bin/simulate.exe -- --impl fig3 --mem net --replicas 3 \
-	  --net-nemesis lag_spike --net-rate 0.1 --seed $(CHAOS_NET_SEED) \
+	  --net-nemesis lag_spike --net-rate 0.1 --seed $(SEED) \
 	  --seeds 3 --check \
-	  --json $(ARTIFACTS)/chaos-net-lag-$(CHAOS_NET_SEED).json
+	  --json $(ARTIFACTS)/chaos-net-lag-$(SEED).json
 	dune exec bin/loadgen.exe -- --impl fig3 --mem net --replicas 3 \
 	  -m 64 -r 8 --domains 2 --mix 1u+1s --scan window --duration 500ms \
 	  --warmup 0.1s --seed 42 --json $(ARTIFACTS)/loadgen-net.json
@@ -185,23 +184,21 @@ chaos-net:
 # _artifacts/; the committed reference witness lives in schedules/ and
 # is replayed by dune runtest); the loadgen run prices a zipf
 # read-mostly transaction mix and reports the abort rate.
-# CHAOS_TXN_SEED lets CI sweep seeds.
-CHAOS_TXN_SEED ?= 0
 chaos-txn:
 	dune build bin/simulate.exe bin/loadgen.exe
 	mkdir -p $(ARTIFACTS)
 	dune exec bin/simulate.exe -- --impl txn --nemesis chaos \
-	  --seed $(CHAOS_TXN_SEED) --seeds 25 --check \
-	  --json $(ARTIFACTS)/chaos-txn-fcw-$(CHAOS_TXN_SEED).json
+	  --seed $(SEED) --seeds 25 --check \
+	  --json $(ARTIFACTS)/chaos-txn-fcw-$(SEED).json
 	dune exec bin/simulate.exe -- --impl txn --nemesis crash-restart \
-	  --seed $(CHAOS_TXN_SEED) --seeds 10 --check \
-	  --json $(ARTIFACTS)/chaos-txn-cr-$(CHAOS_TXN_SEED).json
+	  --seed $(SEED) --seeds 10 --check \
+	  --json $(ARTIFACTS)/chaos-txn-cr-$(SEED).json
 	dune exec bin/simulate.exe -- --impl txn -m 4 -r 2 --updaters 2 \
 	  --updates 3 --scanners 1 --scans 2 --sched random --txn-mode lww \
-	  --seed $(CHAOS_TXN_SEED) --seeds 50 --check --expect-violations \
+	  --seed $(SEED) --seeds 50 --check --expect-violations \
 	  --shrink \
-	  --replay-file $(ARTIFACTS)/e20-txn-lww-$(CHAOS_TXN_SEED).sched \
-	  --json $(ARTIFACTS)/chaos-txn-lww-$(CHAOS_TXN_SEED).json
+	  --replay-file $(ARTIFACTS)/e20-txn-lww-$(SEED).sched \
+	  --json $(ARTIFACTS)/chaos-txn-lww-$(SEED).json
 	dune exec bin/loadgen.exe -- --impl txn -m 64 -r 8 --domains 2 \
 	  --dist zipf --mix 10:90 --duration 500ms --warmup 0.1s --seed 42 \
 	  --json $(ARTIFACTS)/loadgen-txn.json
@@ -213,23 +210,21 @@ chaos-txn:
 # naive (fence-free) mode of a lost acked write and leave the fenced
 # mode clean on the identical schedule; the loadgen run permanently
 # kills a majority under load and must return to Atomic service.
-# CHAOS_RECONFIG_SEED lets CI sweep seeds.
-CHAOS_RECONFIG_SEED ?= 0
 chaos-reconfig:
 	dune build bin/simulate.exe bin/loadgen.exe
 	mkdir -p $(ARTIFACTS)
 	dune exec bin/simulate.exe -- --reconfig fenced --replicas 3 --spares 2 \
 	  --reconfig-nemesis replica_death --net-nemesis partition_storm \
-	  --seed $(CHAOS_RECONFIG_SEED) --seeds 3 --check \
-	  --json $(ARTIFACTS)/chaos-reconfig-death-$(CHAOS_RECONFIG_SEED).json
+	  --seed $(SEED) --seeds 3 --check \
+	  --json $(ARTIFACTS)/chaos-reconfig-death-$(SEED).json
 	dune exec bin/simulate.exe -- --reconfig fenced --replicas 3 --spares 2 \
 	  --reconfig-nemesis rolling_restart --net-nemesis partition_storm \
-	  --seed $(CHAOS_RECONFIG_SEED) --seeds 3 --check \
-	  --json $(ARTIFACTS)/chaos-reconfig-rolling-$(CHAOS_RECONFIG_SEED).json
+	  --seed $(SEED) --seeds 3 --check \
+	  --json $(ARTIFACTS)/chaos-reconfig-rolling-$(SEED).json
 	dune exec bin/simulate.exe -- --reconfig fenced --replicas 3 --spares 2 \
 	  --reconfig-nemesis config_churn --net-nemesis partition_storm \
-	  --seed $(CHAOS_RECONFIG_SEED) --seeds 3 --check \
-	  --json $(ARTIFACTS)/chaos-reconfig-churn-$(CHAOS_RECONFIG_SEED).json
+	  --seed $(SEED) --seeds 3 --check \
+	  --json $(ARTIFACTS)/chaos-reconfig-churn-$(SEED).json
 	dune exec bin/simulate.exe -- --reconfig naive --updaters 1 --updates 20 \
 	  --scanners 2 --scans 3 --replicas 3 --spares 2 --sched starve --check \
 	  --expect-violations --replay-file schedules/e21-reconfig-naive.sched \

@@ -201,12 +201,6 @@ let run_reconfig_scenario replicas spares kill_n domains duration json_file =
   Metrics.reset_net ();
   Metrics.reset_serving ();
   Metrics.reset_reconfig ();
-  let dbg0 =
-    if Sys.getenv_opt "PSNAP_RECONFIG_DEBUG" <> None then
-      fun s -> Printf.eprintf "[ul] %s\n%!" s
-    else fun _ -> ()
-  in
-  dbg0 "building cluster";
   (* Bounded attempt budgets: with members dying permanently, an
      operation must give up as [Unavailable] and chase the new
      configuration instead of waiting forever for a dead quorum's acks. *)
@@ -225,13 +219,11 @@ let run_reconfig_scenario replicas spares kill_n domains duration json_file =
           A.mc_wake cluster
         done)
   in
-  dbg0 "spawning replica domains";
   let pool = replicas + spares in
   let rdomains =
     List.init pool (fun i -> Domain.spawn (A.mc_replica_body cluster ~index:i))
   in
   let rc = R.mc_attach ~mode:R.Fenced cluster in
-  dbg0 "creating registers";
   let regs =
     Array.init domains (fun d ->
         A.Mc_mem.make ~name:(Printf.sprintf "ul.reg.%d" d) 0)
@@ -266,19 +258,12 @@ let run_reconfig_scenario replicas spares kill_n domains duration json_file =
        if v < last_acked.(d) then lost.(d) <- true
      with Psnap.Net.Unavailable _ -> ())
   in
-  let dbg =
-    if Sys.getenv_opt "PSNAP_RECONFIG_DEBUG" <> None then
-      fun fmt -> Printf.eprintf fmt
-    else fun fmt -> Printf.ifprintf stderr fmt
-  in
-  dbg "[ul] registers created\n%!";
   let workers = List.init domains (fun d -> Domain.spawn (worker d)) in
   let t0 = Unix.gettimeofday () in
   let sleep s = ignore (Unix.select [] [] [] s) in
   let replace_retries = ref 0 in
   sleep (duration_s /. 8.);
   for i = 0 to kill_n - 1 do
-    dbg "[ul] killing pool replica %d\n%!" i;
     A.mc_kill cluster ~index:i;
     let cfg = R.mc_current_config rc in
     let dead = List.nth (A.mc_pool_nodes cluster) i in
@@ -301,22 +286,17 @@ let run_reconfig_scenario replicas spares kill_n domains duration json_file =
             i
     in
     attempt 0;
-    dbg "[ul] replacement %d installed (epoch %d)\n%!" i
-      (R.mc_current_config rc).A.epoch;
     sleep (duration_s /. 8.)
   done;
   Atomic.set done_at (Unix.gettimeofday ());
   let elapsed = Unix.gettimeofday () -. t0 in
   if elapsed < duration_s then sleep (duration_s -. elapsed);
   Atomic.set stop true;
-  dbg "[ul] joining workers\n%!";
   List.iter Domain.join workers;
-  dbg "[ul] stopping replicas\n%!";
   A.mc_stop cluster;
   List.iter Domain.join rdomains;
   Atomic.set waker_stop true;
   Domain.join waker;
-  dbg "[ul] replicas joined\n%!";
   let rm = Metrics.reconfig () in
   let nv = Metrics.net () in
   let recovered = Array.for_all (fun b -> b) post_ok in

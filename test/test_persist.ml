@@ -10,6 +10,7 @@
    write-ahead mode clean. *)
 
 open Psnap
+open Psnap_harness
 module Wal = Persist.Wal
 module Recovery = Persist.Recovery
 module St = Persist.Storage.Sim
@@ -164,69 +165,21 @@ let test_has_lsn () =
 
 (* ---- the durable snapshot under the simulator ----
 
-   The workload mirrors bin/simulate.ml's run_durable exactly (same index
-   and value formulas, same recovery bodies): the committed E18 witness
+   The workload is the durable campaign scenario itself (same index and
+   value formulas, same recovery bodies): the committed E18 witness
    schedule was shrunk against that program, and replay is only
    meaningful against the same program. *)
 
-let m = 4
-
-let updaters = 1
-
-let updates = 3
-
-let scanners = 2
-
-let scans = 6
-
-let init = Array.init m (fun i -> -(i + 1))
+let workload =
+  { Scenario.m = 4; r = 4; updaters = 1; updates = 3; scanners = 2; scans = 6 }
 
 let run_workload ?(config = D.default_config) ~sched () =
-  let n = updaters + scanners in
-  let hist = History.create ~now:Sim.mark () in
-  Sim.reset_prerun_oids ();
-  St.reset ();
-  let cur = ref (D.create_with ~config ~n (Array.copy init)) in
-  let seen_losses = ref 0 in
-  let rebuild_if_power_lost () =
-    let dev = D.storage !cur in
-    let l = St.losses dev in
-    if l > !seen_losses then begin
-      seen_losses := l;
-      cur := D.recover ~config dev ~n init
-    end
+  let x =
+    Campaign.execute
+      (Scenario.durable ~config ~power:Scenario.No_power_loss workload)
+      ~sched
   in
-  let updater ~incarnation pid () =
-    if incarnation > 1 then rebuild_if_power_lost ();
-    let h = D.handle !cur ~pid in
-    if incarnation > 1 then D.resume h;
-    for k = 1 to updates do
-      let i = (k + (pid * 7)) mod m in
-      let v = (pid * 1_000_000) + (incarnation * 10_000) + k in
-      ignore
-        (History.record hist ~pid (Snapshot_spec.Update (i, v)) (fun () ->
-             D.update h i v;
-             Snapshot_spec.Ack))
-    done
-  in
-  let scanner ~incarnation pid () =
-    if incarnation > 1 then rebuild_if_power_lost ();
-    let h = D.handle !cur ~pid in
-    let idxs = Array.init m (fun i -> i) in
-    for _ = 1 to scans do
-      ignore
-        (History.record hist ~pid (Snapshot_spec.Scan idxs) (fun () ->
-             Snapshot_spec.Vals (D.scan h idxs)))
-    done
-  in
-  let body ~incarnation pid =
-    if pid < updaters then updater ~incarnation pid
-    else scanner ~incarnation pid
-  in
-  let procs = Array.init n (fun pid -> body ~incarnation:1 pid) in
-  let recover = Some (fun ~pid ~incarnation -> body ~incarnation pid) in
-  let res = Sim.run ?recover ~sched procs in
-  (res, Snapshot_spec.check_observations ~init (History.entries hist))
+  (x.Campaign.result, x.Campaign.violations)
 
 let test_mini_power_loss_sweep () =
   Psnap_sched.Metrics.reset_durable ();

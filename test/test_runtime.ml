@@ -7,6 +7,7 @@
    demonstrably load-bearing. *)
 
 open Psnap
+open Psnap_harness
 module Hist = Psnap.Runtime.Histogram
 module Loadgen = Psnap.Runtime.Loadgen
 module M = Psnap_sched.Mem_sim
@@ -371,47 +372,19 @@ let e17_witness =
   else "../schedules/e17-sharded-relaxed.sched"
 
 let test_e17_witness_replays () =
-  let m = 32 and r = 8 and updaters = 3 in
-  let init = Array.init m (fun i -> -(i + 1)) in
   let decisions = Shrink.load e17_witness in
   check_bool "witness committed and shrunk" true
     (decisions <> [] && List.length decisions <= 60);
-  let hist = History.create ~now:Sim.mark () in
-  Sim.reset_prerun_oids ();
-  let t = Sim_sharded_relaxed.create ~n:5 (Array.copy init) in
-  (* exactly the simulate.exe workload the witness was shrunk against
-     (bin/simulate.ml run_flat, incarnation 1) — replay is only meaningful
-     against the same program *)
-  let updater pid () =
-    let h = Sim_sharded_relaxed.handle t ~pid in
-    for k = 1 to 30 do
-      let i = (k + (pid * 7)) mod m in
-      let v = (pid * 1_000_000) + 10_000 + k in
-      ignore
-        (History.record hist ~pid (Snapshot_spec.Update (i, v)) (fun () ->
-             Sim_sharded_relaxed.update h i v;
-             Snapshot_spec.Ack))
-    done
+  (* exactly the simulate.exe workload the witness was shrunk against —
+     replay is only meaningful against the same program *)
+  let sc =
+    Scenario.flat (module Sim_sharded_relaxed)
+      { Scenario.m = 32; r = 8; updaters = 3; updates = 30; scanners = 2;
+        scans = 8 }
+      ~check:true
   in
-  let scanner pid () =
-    let h = Sim_sharded_relaxed.handle t ~pid in
-    let idxs =
-      Array.init r (fun k -> ((pid - updaters) + (k * (m / r))) mod m)
-      |> Array.to_list |> List.sort_uniq compare |> Array.of_list
-    in
-    for _ = 1 to 8 do
-      ignore
-        (History.record hist ~pid (Snapshot_spec.Scan idxs) (fun () ->
-             Snapshot_spec.Vals (Sim_sharded_relaxed.scan h idxs)))
-    done
-  in
-  ignore
-    (Sim.run
-       ~sched:
-         (Scheduler.replay_decisions ~lenient:true
-            ~fallback:(Scheduler.round_robin ()) decisions)
-       [| updater 0; updater 1; updater 2; scanner 3; scanner 4 |]);
-  let viols = Snapshot_spec.check_observations ~init (History.entries hist) in
+  let sched = Campaign.replay_sched decisions in
+  let viols = (Campaign.execute sc ~sched).Campaign.violations in
   check_bool "shrunk witness still drives a relaxed violation" true
     (viols <> [])
 
