@@ -198,9 +198,7 @@ let run_reconfig_scenario replicas spares kill_n domains duration json_file =
       kill_n spares;
     exit 2
   end;
-  Metrics.reset_net ();
-  Metrics.reset_serving ();
-  Metrics.reset_reconfig ();
+  List.iter Metrics.reset Metrics.[ Net.group; Serving.group; Reconfig.group ];
   (* Bounded attempt budgets: with members dying permanently, an
      operation must give up as [Unavailable] and chase the new
      configuration instead of waiting forever for a dead quorum's acks. *)
@@ -297,8 +295,6 @@ let run_reconfig_scenario replicas spares kill_n domains duration json_file =
   List.iter Domain.join rdomains;
   Atomic.set waker_stop true;
   Domain.join waker;
-  let rm = Metrics.reconfig () in
-  let nv = Metrics.net () in
   let recovered = Array.for_all (fun b -> b) post_ok in
   let lost_any = Array.exists (fun b -> b) lost in
   let max_gap_all = Array.fold_left max 0.0 max_gap in
@@ -308,19 +304,20 @@ let run_reconfig_scenario replicas spares kill_n domains duration json_file =
     "reconfigure-under-load: %d domains over %d replicas + %d spares; \
      killed %d members permanently, %d reconfigurations (%d transfer \
      retries), final epoch %d over members %s\n"
-    domains replicas spares kill_n rm.Metrics.reconfigs !replace_retries
-    final.A.epoch
+    domains replicas spares kill_n Metrics.(get Reconfig.reconfigs)
+    !replace_retries final.A.epoch
     (String.concat "," (List.map string_of_int final.A.members));
   Printf.printf
     "ops: %d acked, %d unavailable; max availability gap %.0f ms; %d stale \
      rejects, %d epoch chases; recovered=%b, lost_writes=%b\n"
     (total ops_ok) (total ops_unavail)
     (max_gap_all *. 1000.0)
-    rm.Metrics.stale_rejects rm.Metrics.epoch_chases recovered lost_any;
+    Metrics.(get Reconfig.stale_rejects)
+    Metrics.(get Reconfig.epoch_chases) recovered lost_any;
   Option.iter
     (fun path ->
       write_json path
-        [
+        ([
           ("scenario", "\"reconfigure-under-load\"");
           ("domains", string_of_int domains);
           ("replicas", string_of_int replicas);
@@ -330,19 +327,14 @@ let run_reconfig_scenario replicas spares kill_n domains duration json_file =
           ("ops_ok", string_of_int (total ops_ok));
           ("ops_unavailable", string_of_int (total ops_unavail));
           ("max_availability_gap_ms", Printf.sprintf "%.1f" (max_gap_all *. 1000.0));
-          ("reconfigs", string_of_int rm.Metrics.reconfigs);
           ("transfer_retries", string_of_int !replace_retries);
           ("final_epoch", string_of_int final.A.epoch);
-          ("stale_rejects", string_of_int rm.Metrics.stale_rejects);
-          ("epoch_chases", string_of_int rm.Metrics.epoch_chases);
-          ("seals", string_of_int rm.Metrics.seals);
-          ("transfers", string_of_int rm.Metrics.transfers);
-          ("activations", string_of_int rm.Metrics.activations);
-          ("quorum_rounds", string_of_int nv.Metrics.rounds);
-          ("unavailable_ops", string_of_int nv.Metrics.unavailable);
+          ("quorum_rounds", string_of_int Metrics.(get Net.quorum_rounds));
+          ("unavailable_ops", string_of_int Metrics.(get Net.unavailable));
           ("recovered", string_of_bool recovered);
           ("lost_writes", string_of_bool lost_any);
-        ];
+        ]
+        @ Metrics.(fields (read Reconfig.group)));
       Printf.printf "json summary written to %s\n" path)
     json_file;
   if lost_any then begin
@@ -442,15 +434,10 @@ let run impl_name mem_backend replicas shards partition_name m r domains
       Printf.eprintf "unknown backend %S (choose from: raw, net)\n" s;
       exit 2
   in
-  Metrics.reset_serving ();
-  Metrics.reset_net ();
-  Metrics.reset_txn ();
+  let groups = Metrics.[ Serving.group; Net.group; Txn.group ] in
+  List.iter Metrics.reset groups;
   let rep = Loadgen.run (module S) cfg in
   teardown ();
-  (* serving-layer counters (sharded validation rounds, resilient breaker
-     activity and degraded scans); plain refs bumped from many domains, so
-     totals are approximate under contention — like the hardened stats *)
-  let sv = Metrics.serving () in
   let lat_row kind h =
     [
       kind;
@@ -483,27 +470,15 @@ let run impl_name mem_backend replicas shards partition_name m r domains
          lat_row "update" rep.Loadgen.update_lat;
          lat_row "scan" rep.Loadgen.scan_lat;
        ]);
-  let nv = Metrics.net () in
-  if nv.Metrics.quorum_ops > 0 then
-    Printf.printf
-      "net: %d replicas, %d sends / %d delivers, %d quorum rounds (%.2f \
-       rounds/op, %d resends), writebacks %d (+%d skipped), mean quorum \
-       wait %.1f polls, %d unavailable\n"
-      replicas nv.Metrics.sends nv.Metrics.delivers nv.Metrics.rounds
-      (float_of_int nv.Metrics.rounds /. float_of_int nv.Metrics.quorum_ops)
-      nv.Metrics.resends nv.Metrics.writebacks nv.Metrics.writeback_skips
-      (Metrics.mean_quorum_wait nv)
-      nv.Metrics.unavailable;
-  if sv.Metrics.scan_rounds > 0 then
-    Printf.printf
-      "serving: %d scan rounds (%d retries), %d degraded scans, breaker \
-       o/h/c=%d/%d/%d\n"
-      sv.Metrics.scan_rounds sv.Metrics.scan_retries sv.Metrics.degraded_scans
-      sv.Metrics.breaker_opens sv.Metrics.breaker_half_opens
-      sv.Metrics.breaker_closes;
-  (* plain refs bumped from many domains: approximate under contention *)
-  let tm = Metrics.txn () in
-  if tm.Metrics.begins > 0 then Fmt.pr "%a@." Metrics.pp_txn tm;
+  (* one line per counter group that saw traffic *)
+  List.iter
+    (fun g ->
+      let r = Metrics.read g in
+      if List.exists (fun (_, v) -> v > 0) r.Metrics.values then
+        Fmt.pr "%a@." Metrics.pp r)
+    groups;
+  let n c = string_of_int (Metrics.get c) in
+  let quorum_ops = Metrics.(get Net.quorum_ops) in
   Option.iter
     (fun path ->
       write_json path
@@ -515,42 +490,35 @@ let run impl_name mem_backend replicas shards partition_name m r domains
               match open_shard with
               | Some s -> string_of_int s
               | None -> "null" );
-            ("scan_rounds", string_of_int sv.Metrics.scan_rounds);
-            ("scan_retries", string_of_int sv.Metrics.scan_retries);
-            ("degraded_scans", string_of_int sv.Metrics.degraded_scans);
-            ("backoff_steps", string_of_int sv.Metrics.backoff_steps);
-            ("breaker_opens", string_of_int sv.Metrics.breaker_opens);
-            ( "breaker_half_opens",
-              string_of_int sv.Metrics.breaker_half_opens );
-            ("breaker_closes", string_of_int sv.Metrics.breaker_closes);
-            ("heals_completed", string_of_int sv.Metrics.heals_completed);
-            ("mem", Printf.sprintf "%S" mem_backend);
-            ("replicas", string_of_int replicas);
-            ("net_sends", string_of_int nv.Metrics.sends);
-            ("net_delivers", string_of_int nv.Metrics.delivers);
-            ("quorum_rounds", string_of_int nv.Metrics.rounds);
-            ("quorum_resends", string_of_int nv.Metrics.resends);
-            ("quorum_ops", string_of_int nv.Metrics.quorum_ops);
-            ( "rounds_per_op",
-              if nv.Metrics.quorum_ops = 0 then "0"
-              else
-                Printf.sprintf "%.3f"
-                  (float_of_int nv.Metrics.rounds
-                  /. float_of_int nv.Metrics.quorum_ops) );
-            ("writebacks", string_of_int nv.Metrics.writebacks);
-            ("writeback_skips", string_of_int nv.Metrics.writeback_skips);
-            ( "mean_quorum_wait",
-              Printf.sprintf "%.2f" (Metrics.mean_quorum_wait nv) );
-            ("unavailable_ops", string_of_int nv.Metrics.unavailable);
-            ("txn_begins", string_of_int tm.Metrics.begins);
-            ("txn_ro_commits", string_of_int tm.Metrics.ro_commits);
-            ("txn_rw_commits", string_of_int tm.Metrics.rw_commits);
-            ( "txn_retries",
-              string_of_int (tm.Metrics.conflicts + tm.Metrics.busy_aborts)
-            );
-            ( "txn_abort_rate",
-              Printf.sprintf "%.4f" (Metrics.txn_abort_rate tm) );
-          ]);
+          ]
+        @ Metrics.(fields (read Serving.group))
+        @ Metrics.
+            [
+              ("mem", Printf.sprintf "%S" mem_backend);
+              ("replicas", string_of_int replicas);
+              ("net_sends", n Net.sends);
+              ("net_delivers", n Net.delivers);
+              ("quorum_rounds", n Net.quorum_rounds);
+              ("quorum_resends", n Net.resends);
+              ("quorum_ops", n Net.quorum_ops);
+              ( "rounds_per_op",
+                if quorum_ops = 0 then "0"
+                else
+                  Printf.sprintf "%.3f"
+                    (float_of_int (get Net.quorum_rounds)
+                    /. float_of_int quorum_ops) );
+              ("writebacks", n Net.writebacks);
+              ("writeback_skips", n Net.writeback_skips);
+              ( "mean_quorum_wait",
+                Printf.sprintf "%.2f" (Net.mean_quorum_wait ()) );
+              ("unavailable_ops", n Net.unavailable);
+              ("txn_begins", n Txn.begins);
+              ("txn_ro_commits", n Txn.ro_commits);
+              ("txn_rw_commits", n Txn.rw_commits);
+              ( "txn_retries",
+                string_of_int (get Txn.conflicts + get Txn.busy_aborts) );
+              ("txn_abort_rate", Printf.sprintf "%.4f" (Txn.abort_rate ()));
+            ]);
       Printf.printf "json summary written to %s\n" path)
     json_file;
   0

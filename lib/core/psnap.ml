@@ -286,12 +286,6 @@ module Sim_durable_fig3 =
     (docs/MODEL.md §15, EXPERIMENTS.md E20). *)
 module Sim_txn_fig3 = Psnap_txn.Txn.Make (Mem.Sim) (Sim_fig3) (Sim_aset_fai)
 
-(** The same transactional store over the helping-free non-blocking
-    snapshot: read-only transactions inherit its starvation behaviour,
-    which is what makes it interesting under adversarial schedules. *)
-module Sim_txn_nonblocking =
-  Psnap_txn.Txn.Make (Mem.Sim) (Sim_nonblocking) (Sim_aset_fai)
-
 (* ---- Distributed backend (docs/MODEL.md §14): ABD quorum registers
    over the crash-prone message transport ---- *)
 
@@ -348,7 +342,6 @@ module Mc_fig3_small =
 
 module Mc_afek = Psnap_snapshot.Afek.Make (Mem.Atomic)
 module Mc_farray = Psnap_snapshot.Farray_snapshot.Make (Mem.Atomic)
-module Mc_nonblocking = Psnap_snapshot.Partial_nonblocking.Make (Mem.Atomic)
 
 (** Figure 3 sharded 4 ways on real atomics; the loadgen CLI builds
     arbitrary shard counts at runtime. *)

@@ -154,7 +154,7 @@ let run cfg sc =
      replayed schedules may carry fault decisions whatever the flags. *)
   Mem.Sim.set_fault_tracking true;
   Metrics.reset_mem_faults ();
-  sc.reset ();
+  List.iter Metrics.reset sc.groups;
   let runs = ref 0 and steps = ref 0 and crashes = ref 0 and restarts = ref 0 in
   let violations = ref 0 and samples = ref [] and failing = ref None in
   let print_violations vs =
@@ -233,8 +233,10 @@ let run cfg sc =
       replayed;
     }
   in
-  (* the scenario's counters, before the shrinker's replays add to them *)
+  (* every counter, before the shrinker's replays add to them *)
   let report = sc.report () in
+  let readings = List.map Metrics.read sc.groups in
+  let mf = Metrics.mem_faults () in
   let fails decisions =
     match execute sc ~sched:(replay_sched decisions) with
     | x -> x.violations <> []
@@ -278,9 +280,7 @@ let run cfg sc =
   Printf.printf "faults: %d crashes, %d restarts\n" totals.crashes
     totals.restarts;
   report.print ();
-  (* The memory-fault group is read here, after the shrinker, whose
-     replays inject faults too. *)
-  let mf = Metrics.mem_faults () in
+  List.iter (Fmt.pr "%a@." Metrics.pp) readings;
   let repairs = mf.Metrics.hardened.Mem.Hardened.repairs in
   if
     cfg.mem_faults <> None
@@ -304,6 +304,7 @@ let run cfg sc =
            ("violations", int totals.violations);
          ]
         @ report.fields
+        @ List.concat_map Metrics.fields readings
         @ [
             ("mem_faults_injected", int (Metrics.total_injected mf));
             ("mem_faults_detected", int (Metrics.total_detected mf));

@@ -38,7 +38,7 @@ type 'v t = {
   updater_pids : int list;
   scanner_pids : int list;
   inject : seed:int -> Scheduler.t -> Scheduler.t;
-  reset : unit -> unit;
+  groups : Metrics.group list;
   build : Metrics.recorder -> 'v world;
   pp_violation : 'v Fmt.t;
   checked : bool;
@@ -120,14 +120,14 @@ let check_history hist ~init =
   | None -> []
 
 (* Defaults for the fields most scenarios leave alone. *)
-let base ~pp_violation w ~impl ~shape ~reset ~build ~report =
+let base ~pp_violation w ~impl ~shape ~groups ~build ~report =
   {
     impl;
     shape;
     updater_pids = List.init w.updaters Fun.id;
     scanner_pids = List.init w.scanners (fun j -> w.updaters + j);
     inject = (fun ~seed:_ s -> s);
-    reset;
+    groups;
     build;
     pp_violation;
     checked = true;
@@ -166,26 +166,18 @@ let flat (module S : Snapshot.S) w ~check =
     }
   in
   let report () =
-    let sv = Metrics.serving () in
     {
       print =
         (fun () ->
-          Printf.printf "worst collects per scan: %d\n" !worst_collects;
-          if sv.Metrics.scan_rounds > 0 then
-            Printf.printf "scan validation: %d rounds total, %d retry rounds\n"
-              sv.Metrics.scan_rounds sv.Metrics.scan_retries);
-      fields =
-        [
-          ("scan_rounds", int sv.Metrics.scan_rounds);
-          ("scan_retries", int sv.Metrics.scan_retries);
-        ];
+          Printf.printf "worst collects per scan: %d\n" !worst_collects);
+      fields = [];
       clean = linearizable;
       ok = no_extra;
     }
   in
   {
     (base ~pp_violation:Snapshot_spec.pp_violation w ~impl:S.name
-       ~shape:(shape w) ~reset:Metrics.reset_serving ~build ~report)
+       ~shape:(shape w) ~groups:[ Metrics.Serving.group ] ~build ~report)
     with
     checked = check;
     expected = "raw registers under memory faults";
@@ -212,7 +204,7 @@ let resilient ~shards ~stick_epoch ~stall_shard ~slow_pid w =
       end)
   in
   let init = init w in
-  let atomic = ref 0 and degraded = ref 0 and overruns = ref 0 in
+  let atomic = ref 0 and overruns = ref 0 in
   let post_heal = ref 0 and worst_rounds = ref 0 and worst_collects = ref 0 in
   let build rec_ =
     let hist = History.create ~now:Sim.mark () in
@@ -260,7 +252,7 @@ let resilient ~shards ~stick_epoch ~stall_shard ~slow_pid w =
                  && RS.shard_gen t ~pid s > 1 ->
             incr post_heal
           | _ -> ())
-        | RS.Degraded _ -> incr degraded
+        | RS.Degraded _ -> ()
       done
     in
     let body ~incarnation pid =
@@ -293,7 +285,8 @@ let resilient ~shards ~stick_epoch ~stall_shard ~slow_pid w =
     match slow_pid with Some p -> Scheduler.slow_domain ~pid:p s | None -> s
   in
   let report () =
-    let sv = Metrics.serving () in
+    let degraded = Metrics.(get Serving.degraded_scans) in
+    let healed = Metrics.(get Serving.heals_completed) in
     let ok _ =
       let fine = ref true in
       let fail fmt = fine := false; Printf.printf fmt in
@@ -301,7 +294,7 @@ let resilient ~shards ~stick_epoch ~stall_shard ~slow_pid w =
         fail "budget: %d scans exceeded %d rounds without degrading\n" !overruns
           max_rounds;
       (match stick_epoch with
-      | Some _ when sv.Metrics.heals_completed = 0 ->
+      | Some _ when healed = 0 ->
         fail "heal: stuck epoch injected but no shard rebuild completed\n"
       | Some _ when !post_heal = 0 ->
         fail "heal: shard rebuilt but no fully-validated scan touched it \
@@ -309,7 +302,7 @@ let resilient ~shards ~stick_epoch ~stall_shard ~slow_pid w =
       | Some _ ->
         Printf.printf
           "heal: %d rebuild(s) completed, %d validated post-rebuild scans\n"
-          sv.Metrics.heals_completed !post_heal
+          healed !post_heal
       | None -> ());
       !fine
     in
@@ -319,25 +312,13 @@ let resilient ~shards ~stick_epoch ~stall_shard ~slow_pid w =
           Printf.printf
             "scans: %d atomic, %d degraded; worst rounds %d (budget %d), \
              worst collects %d\n"
-            !atomic !degraded !worst_rounds max_rounds !worst_collects;
-          Fmt.pr "%a@." Metrics.pp_serving sv);
+            !atomic degraded !worst_rounds max_rounds !worst_collects);
       fields =
         [
           ("atomic_scans", int !atomic);
-          ("degraded_scans", int !degraded);
           ("budget_overruns", int !overruns);
           ("post_heal_atomic_scans", int !post_heal);
           ("worst_rounds", int !worst_rounds);
-          ("scan_rounds", int sv.Metrics.scan_rounds);
-          ("scan_retries", int sv.Metrics.scan_retries);
-          ("backoff_steps", int sv.Metrics.backoff_steps);
-          ("breaker_opens", int sv.Metrics.breaker_opens);
-          ("breaker_half_opens", int sv.Metrics.breaker_half_opens);
-          ("breaker_closes", int sv.Metrics.breaker_closes);
-          ("heals_started", int sv.Metrics.heals_started);
-          ("heals_completed", int sv.Metrics.heals_completed);
-          ("heals_aborted", int sv.Metrics.heals_aborted);
-          ("stuck_epochs", int sv.Metrics.stuck_epochs);
         ];
       clean =
         (fun _ ->
@@ -352,7 +333,7 @@ let resilient ~shards ~stick_epoch ~stall_shard ~slow_pid w =
   in
   {
     (base ~pp_violation:Snapshot_spec.pp_violation w ~impl:RS.name
-       ~reset:Metrics.reset_serving ~build ~report
+       ~groups:[ Metrics.Serving.group ] ~build ~report
        ~shape:
          (shape w ^ opt "stick-epoch shard" stick_epoch
          ^ opt "stall shard" stall_shard ^ opt "slow pid" slow_pid))
@@ -413,14 +394,15 @@ let durable ~config ~power w =
     }
   in
   let report () =
-    let dm = Metrics.durable () in
+    let recoveries = Metrics.(get Durable.recoveries) in
+    let power_losses = Metrics.(get Durable.power_losses) in
     let ok (t : totals) =
       match power with
-      | Power_sweep when dm.Metrics.recoveries = 0 ->
+      | Power_sweep when recoveries = 0 ->
         Printf.printf
           "recovery: power-loss sweep completed without a single rebuild\n";
         false
-      | Power_storm when dm.Metrics.power_losses = 0 && not t.replayed ->
+      | Power_storm when power_losses = 0 && not t.replayed ->
         Printf.printf
           "power-loss: storm requested but no blackout fired (run too \
            short?)\n";
@@ -430,9 +412,7 @@ let durable ~config ~power w =
     {
       print =
         (fun () ->
-          Printf.printf "worst collects per scan: %d\n" !worst_collects;
-          Printf.printf "power losses: %d\n" dm.Metrics.power_losses;
-          Fmt.pr "%a@." Metrics.pp_durable dm);
+          Printf.printf "worst collects per scan: %d\n" !worst_collects);
       fields =
         [
           ( "power_loss",
@@ -445,17 +425,6 @@ let durable ~config ~power w =
           ( "wal_mode",
             str (if config.D.write_ahead then "write-ahead" else "late-log") );
           ("checkpoint_every", int config.D.checkpoint_every);
-          ("power_losses", int dm.Metrics.power_losses);
-          ("recoveries", int dm.Metrics.recoveries);
-          ("replayed_updates", int dm.Metrics.replayed_updates);
-          ("wal_appends", int dm.Metrics.wal_appends);
-          ("wal_syncs", int dm.Metrics.wal_syncs);
-          ("wal_bytes", int dm.Metrics.wal_bytes);
-          ("commits", int dm.Metrics.commits);
-          ("checkpoints", int dm.Metrics.checkpoints);
-          ("torn_records", int dm.Metrics.torn_records);
-          ("corrupt_records", int dm.Metrics.corrupt_records);
-          ("truncated_bytes", int dm.Metrics.truncated_bytes);
         ];
       clean =
         (fun t ->
@@ -467,7 +436,7 @@ let durable ~config ~power w =
   in
   {
     (base ~pp_violation:Snapshot_spec.pp_violation w ~impl:D.name
-       ~reset:Metrics.reset_durable ~build ~report
+       ~groups:[ Metrics.Durable.group ] ~build ~report
        ~shape:
          (shape w ^ if config.D.write_ahead then "" else ", wal-mode late-log"))
     with
@@ -533,22 +502,12 @@ let txn ~mode w =
     }
   in
   let report () =
-    let tm = Metrics.txn () in
     {
-      print = (fun () -> Fmt.pr "%a@." Metrics.pp_txn tm);
+      print = ignore;
       fields =
         [
           ("txn_mode", str (Txn.mode_to_string mode));
-          ("begins", int tm.Metrics.begins);
-          ("ro_commits", int tm.Metrics.ro_commits);
-          ("rw_commits", int tm.Metrics.rw_commits);
-          ("conflicts", int tm.Metrics.conflicts);
-          ("busy_aborts", int tm.Metrics.busy_aborts);
-          ("voluntary_aborts", int tm.Metrics.voluntary_aborts);
-          ("abort_rate", Printf.sprintf "%.4f" (Metrics.txn_abort_rate tm));
-          ("lww_overwrites", int tm.Metrics.lww_overwrites);
-          ("resumes", int tm.Metrics.resumes);
-          ("pruned_versions", int tm.Metrics.pruned_versions);
+          ("abort_rate", Printf.sprintf "%.4f" (Metrics.Txn.abort_rate ()));
         ];
       clean =
         (fun t ->
@@ -560,7 +519,7 @@ let txn ~mode w =
   in
   {
     (base ~pp_violation:(Si_check.pp_violation Format.pp_print_int) w
-       ~impl:T.name ~reset:Metrics.reset_txn ~build ~report
+       ~impl:T.name ~groups:[ Metrics.Txn.group ] ~build ~report
        ~shape:(shape w ^ ", mode " ^ Txn.mode_to_string mode))
     with
     expected = "last-writer-wins skips first-committer-wins validation";
@@ -661,45 +620,24 @@ let net (module S : Snapshot.S) ~mode ~replicas ~net_nemesis ~net_rate w
       ~nodes:(List.init (n + replicas) Fun.id) ~victim:(Some n)
   in
   let report () =
-    let nm = Metrics.net () and sv = Metrics.serving () in
     {
       print =
         (fun () ->
           Printf.printf "worst collects per scan: %d\n" !worst_collects;
           Printf.printf "net effects: %d injected, %d absorbed\n" !injected
             !absorbed;
-          Fmt.pr "%a@." Metrics.pp_net nm;
-          Printf.printf
-            "unavailability: %d ops gave up; breaker: %d opens, %d \
-             half-opens, %d closes\n"
-            !unavailable sv.Metrics.breaker_opens sv.Metrics.breaker_half_opens
-            sv.Metrics.breaker_closes);
+          Printf.printf "unavailability: %d ops gave up\n" !unavailable);
       fields =
         [
           ("mem", str "net");
           ("net_mode", str (if mode = A.Weak then "weak" else "abd"));
           ("replicas", int replicas);
           ("net_nemesis", str net_nemesis);
-          ("sends", int nm.Metrics.sends);
-          ("delivers", int nm.Metrics.delivers);
-          ("net_drops", int nm.Metrics.drops);
-          ("net_dups", int nm.Metrics.dups);
-          ("net_delays", int nm.Metrics.delays);
-          ("net_cuts", int nm.Metrics.cuts);
-          ("net_heals", int nm.Metrics.heals);
           ("net_faults_injected", int !injected);
           ("net_faults_absorbed", int !absorbed);
-          ("quorum_rounds", int nm.Metrics.rounds);
-          ("resends", int nm.Metrics.resends);
-          ("writebacks", int nm.Metrics.writebacks);
-          ("writeback_skips", int nm.Metrics.writeback_skips);
-          ("quorum_ops", int nm.Metrics.quorum_ops);
           ( "mean_quorum_wait",
-            Printf.sprintf "%.2f" (Metrics.mean_quorum_wait nm) );
+            Printf.sprintf "%.2f" (Metrics.Net.mean_quorum_wait ()) );
           ("unavailable_ops", int !unavailable);
-          ("breaker_opens", int sv.Metrics.breaker_opens);
-          ("breaker_half_opens", int sv.Metrics.breaker_half_opens);
-          ("breaker_closes", int sv.Metrics.breaker_closes);
         ];
       clean = linearizable;
       ok = no_extra;
@@ -708,9 +646,7 @@ let net (module S : Snapshot.S) ~mode ~replicas ~net_nemesis ~net_rate w
   {
     (base ~pp_violation:Snapshot_spec.pp_violation w ~impl:S.name ~build
        ~report
-       ~reset:(fun () ->
-         Metrics.reset_net ();
-         Metrics.reset_serving ())
+       ~groups:Metrics.[ Net.group; Serving.group ]
        ~shape:
          (Printf.sprintf "%s over %s quorum registers, %d replicas%s" (shape w)
             (if mode = A.Weak then "WEAK (no write-back)" else "ABD")
@@ -902,8 +838,6 @@ let reconfig ~mode ~replicas ~spares ~net_nemesis ~net_rate ~reconfig_nemesis
         s
   in
   let report () =
-    let rm = Metrics.reconfig () and nm = Metrics.net () in
-    let sv = Metrics.serving () in
     {
       print =
         (fun () ->
@@ -913,13 +847,7 @@ let reconfig ~mode ~replicas ~spares ~net_nemesis ~net_rate ~reconfig_nemesis
             "reconfigurations: %d completed; highest epoch adopted by a \
              client: %d\n"
             !reconfigs !max_epoch;
-          Fmt.pr "%a@." Metrics.pp_reconfig rm;
-          Fmt.pr "%a@." Metrics.pp_net nm;
-          Printf.printf
-            "unavailability: %d ops gave up; breaker: %d opens, %d \
-             half-opens, %d closes\n"
-            !unavailable sv.Metrics.breaker_opens sv.Metrics.breaker_half_opens
-            sv.Metrics.breaker_closes);
+          Printf.printf "unavailability: %d ops gave up\n" !unavailable);
       fields =
         [
           ("mem", str "net");
@@ -932,16 +860,6 @@ let reconfig ~mode ~replicas ~spares ~net_nemesis ~net_rate ~reconfig_nemesis
           ("inversions", int !inversions);
           ("lin_violations", int !lin_fails);
           ("lin_skipped", int !lin_skipped);
-          ("reconfigs", int rm.Metrics.reconfigs);
-          ("seals", int rm.Metrics.seals);
-          ("transfers", int rm.Metrics.transfers);
-          ("activations", int rm.Metrics.activations);
-          ("stale_rejects", int rm.Metrics.stale_rejects);
-          ("epoch_chases", int rm.Metrics.epoch_chases);
-          ("suspicions", int rm.Metrics.suspicions);
-          ("replacements", int rm.Metrics.replacements);
-          ("churn_requests", int rm.Metrics.churn_requests);
-          ("naive_swaps", int rm.Metrics.naive_swaps);
           ("max_epoch", int !max_epoch);
           ("net_faults_injected", int !injected);
           ("net_faults_absorbed", int !absorbed);
@@ -959,10 +877,7 @@ let reconfig ~mode ~replicas ~spares ~net_nemesis ~net_rate ~reconfig_nemesis
   in
   {
     (base ~pp_violation:Fmt.string w ~build ~report
-       ~reset:(fun () ->
-         Metrics.reset_net ();
-         Metrics.reset_serving ();
-         Metrics.reset_reconfig ())
+       ~groups:Metrics.[ Reconfig.group; Net.group; Serving.group ]
        ~impl:(if mode = R.Naive then "reconfig-naive" else "reconfig-fenced")
        ~shape:
          (Printf.sprintf

@@ -4,8 +4,9 @@
     A scenario builds a fresh world per execution — the object under test,
     one body per pid and an incarnation-aware recovery body — and, once the
     run ends, harvests what the processes observed and returns the oracle's
-    violations.  It also owns its counter groups: it resets them before a
-    campaign, and reports them on the console and in the JSON summary.
+    violations.  It also names the {!Metrics} counter groups it bumps; the
+    loop resets them before a campaign and reports them on the console
+    and in the JSON summary.
 
     Everything a committed witness schedule was shrunk against lives here
     (index and value formulas, the sorted scan set, body order, prerun-oid
@@ -47,8 +48,9 @@ type totals = {
   replayed : bool;  (** the campaign replayed a schedule file *)
 }
 
-(** A scenario's counters, read when the seeded runs end and before the
-    shrinker's oracle runs add to them. *)
+(** What a scenario reports beyond its counter groups, read when the
+    seeded runs end and before the shrinker's oracle runs add to the
+    counters. *)
 type report = {
   print : unit -> unit;  (** console lines for the scenario's counters *)
   fields : (string * string) list;
@@ -65,7 +67,8 @@ type 'v t = {
   scanner_pids : int list;
   inject : seed:int -> Scheduler.t -> Scheduler.t;
       (** scenario-specific nemeses, composed over the loop's *)
-  reset : unit -> unit;  (** reset the counter groups; once per campaign *)
+  groups : Metrics.group list;
+      (** counter groups: reset once per campaign, then reported *)
   build : Metrics.recorder -> 'v world;  (** a fresh world per execution *)
   pp_violation : 'v Fmt.t;
   checked : bool;  (** an oracle runs ([false]: harvest returns [[]]) *)

@@ -138,7 +138,7 @@ module Sim = struct
     in
     if hit then (
       incr injected;
-      Metrics.note_net_fault kind)
+      Metrics.(incr (Net.fault kind)))
     else incr absorbed;
     hit
 
@@ -160,7 +160,7 @@ module Sim = struct
     step t src Event.Write;
     let l = t.links.(src).(dst) in
     l.q <- l.q @ [ m ];
-    Metrics.note_send ()
+    Metrics.(incr Net.sends)
 
   let recv t ~self =
     if self < 0 || self >= t.nodes then
@@ -176,7 +176,7 @@ module Sim = struct
         match l.q with
         | m :: tl when not l.cut ->
             l.q <- tl;
-            Metrics.note_deliver ();
+            Metrics.(incr Net.delivers);
             Some m
         | _ -> scan (k + 1)
     in
@@ -207,7 +207,7 @@ module Mc = struct
     Queue.push m t.inboxes.(dst);
     Condition.signal t.conds.(dst);
     Mutex.unlock t.locks.(dst);
-    Metrics.note_send ()
+    Metrics.(incr Net.sends)
 
   let recv t ~self =
     if self < 0 || self >= t.nodes then
@@ -215,7 +215,7 @@ module Mc = struct
     Mutex.lock t.locks.(self);
     let m = Queue.take_opt t.inboxes.(self) in
     Mutex.unlock t.locks.(self);
-    if m <> None then Metrics.note_deliver ();
+    if m <> None then Metrics.(incr Net.delivers);
     m
 
   (* Blocking receive: sleep on the inbox condition until a message or
@@ -230,7 +230,7 @@ module Mc = struct
       match Queue.take_opt t.inboxes.(self) with
       | Some m ->
           Mutex.unlock t.locks.(self);
-          Metrics.note_deliver ();
+          Metrics.(incr Net.delivers);
           Some m
       | None ->
           if should_stop () then begin
@@ -255,7 +255,7 @@ module Mc = struct
     Mutex.lock t.locks.(self);
     let deliver m =
       Mutex.unlock t.locks.(self);
-      Metrics.note_deliver ();
+      Metrics.(incr Net.delivers);
       Some m
     in
     match Queue.take_opt t.inboxes.(self) with

@@ -40,8 +40,8 @@
      [max_attempts] times with a linearly growing poll budget between
      resends (poll-step backoff), after which the operation raises
      {!Unavailable} — surfaced through a per-client circuit breaker
-     ([Metrics.note_breaker]) so a partitioned client fails fast instead
-     of spinning.
+     (counted in [Metrics.Serving]) so a partitioned client fails fast
+     instead of spinning.
 
    Reconfiguration plumbing (docs/MODEL.md §16; driven by [Net_reconfig]):
 
@@ -194,7 +194,7 @@ let merge_dedup a b =
    naive reconfiguration mode the E21 witness convicts. *)
 let serve ~fenced ~init_of ~rnode st (m : msg) : rstate * body option =
   let stale () =
-    Metrics.note_stale_reject ();
+    Metrics.(incr Reconfig.stale_rejects);
     (st, Some (Stale { cfg = st.rcfg }))
   in
   match m.body with
@@ -210,7 +210,7 @@ let serve ~fenced ~init_of ~rnode st (m : msg) : rstate * body option =
            (Seal_ack
               { epoch; vals = st.vals; next_ts = st.next_ts; dedup = st.dedup }))
       else if epoch = st.rcfg.epoch then begin
-        if not st.sealed then Metrics.note_seal ();
+        if not st.sealed then Metrics.(incr Reconfig.seals);
         ({ st with sealed = true },
          Some
            (Seal_ack
@@ -331,10 +331,10 @@ let run_phase ?attempts ?budget ctx ~reqid ~epoch ~targets ~mk ~need ~on =
   let wait = ref 0 in
   let rec attempt k =
     if k > max_attempts then begin
-      Metrics.note_unavailable ();
+      Metrics.(incr Net.unavailable);
       raise (Unavailable "no quorum within the attempt budget")
     end;
-    if k > 1 then Metrics.note_resend ();
+    if k > 1 then Metrics.(incr Net.resends);
     List.iter
       (fun dst ->
         ctx.ep.send ~dst { src = ctx.ep.self; reqid; epoch; body = mk () })
@@ -351,7 +351,7 @@ let run_phase ?attempts ?budget ctx ~reqid ~epoch ~targets ~mk ~need ~on =
                   let cur = ctx.view () in
                   if cfg.epoch > cur.epoch && cfg.members <> [] then begin
                     ctx.adopt cfg;
-                    Metrics.note_epoch_chase ();
+                    Metrics.(incr Reconfig.epoch_chases);
                     raise Epoch_changed
                   end
               | _ -> on m)
@@ -363,7 +363,7 @@ let run_phase ?attempts ?budget ctx ~reqid ~epoch ~targets ~mk ~need ~on =
     poll (base_budget * k)
   in
   attempt 1;
-  Metrics.note_quorum_round ();
+  Metrics.(incr Net.quorum_rounds);
   !wait
 
 (* Configuration chase: ask the whole pool, adopt a strictly newer
@@ -390,7 +390,7 @@ let chase_config ctx =
      with Unavailable _ -> ());
     if !best.epoch > cur.epoch then begin
       ctx.adopt !best;
-      Metrics.note_epoch_chase ();
+      Metrics.(incr Reconfig.epoch_chases);
       true
     end
     else false
@@ -410,7 +410,7 @@ let with_retries ctx f =
           go ()
         end
         else begin
-          Metrics.note_unavailable ();
+          Metrics.(incr Net.unavailable);
           raise (Unavailable "epoch chase budget exhausted")
         end
     | exception (Unavailable _ as e) ->
@@ -460,15 +460,15 @@ let do_read_v ctx (view : config) (r : reg) =
           Hashtbl.fold (fun _ t acc -> acc && not (tag_lt t btag)) replies true
         in
         if all_max then begin
-          Metrics.note_writeback ~skipped:true;
+          Metrics.(incr Net.writeback_skips);
           w1
         end
         else begin
-          Metrics.note_writeback ~skipped:false;
+          Metrics.(incr Net.writebacks);
           w1 + put_round ctx ~view ~rid:r.rid ~tag:btag ~v:bv
         end
   in
-  Metrics.note_quorum_op ~wait;
+  Metrics.(incr Net.quorum_ops; add Net.quorum_wait wait);
   bv
 
 let do_read ctx r = with_retries ctx (fun view -> do_read_v ctx view r)
@@ -492,7 +492,7 @@ let do_write_v ctx (view : config) (r : reg) v =
   in
   let tag = { ts = !max_ts + 1; wpid = ctx.ep.self } in
   let w2 = put_round ctx ~view ~rid:r.rid ~tag ~v in
-  Metrics.note_quorum_op ~wait:(w1 + w2)
+  Metrics.(incr Net.quorum_ops; add Net.quorum_wait (w1 + w2))
 
 let do_write ctx r v = with_retries ctx (fun view -> do_write_v ctx view r v)
 
@@ -516,7 +516,7 @@ let do_rmw_v ctx (view : config) ~reqid (r : reg) op =
   | None -> assert false (* [need] held *)
   | Some (res, tag, v, applied) ->
       let w2 = if applied then put_round ctx ~view ~rid:r.rid ~tag ~v else 0 in
-      Metrics.note_quorum_op ~wait:(w1 + w2);
+      Metrics.(incr Net.quorum_ops; add Net.quorum_wait (w1 + w2));
       res
 
 (* The request id is chosen once per logical operation, not per epoch
@@ -584,7 +584,7 @@ let install_state ctx ~(cfg : config) x =
          | Install_ack { epoch } when epoch = cfg.epoch ->
              Hashtbl.replace acks m.src ()
          | _ -> ()));
-  Metrics.note_transfer ~registers:(xfer_registers x)
+  Metrics.(add Reconfig.transfers (xfer_registers x))
 
 (* One bounded health probe: a single [Ping] attempt with a small poll
    budget; [false] is a {e silent step timeout}, not proof of death. *)
@@ -612,22 +612,22 @@ let guard_breaker ~cooldown (b : breaker) f =
       | `Closed -> ()
       | _ ->
           b.state <- `Closed;
-          Metrics.note_breaker `Close);
+          Metrics.(incr Serving.breaker_closes));
       y
     with Unavailable _ as e ->
       b.state <- `Open cooldown;
-      Metrics.note_breaker `Open;
+      Metrics.(incr Serving.breaker_opens);
       raise e
   in
   match b.state with
   | `Closed | `Half -> run ()
   | `Open k when k > 0 ->
       b.state <- `Open (k - 1);
-      Metrics.note_unavailable ();
+      Metrics.(incr Net.unavailable);
       raise (Unavailable "circuit open")
   | `Open _ ->
       b.state <- `Half;
-      Metrics.note_breaker `Half_open;
+      Metrics.(incr Serving.breaker_half_opens);
       run ()
 
 (* ---- simulated cluster ---- *)

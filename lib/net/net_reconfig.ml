@@ -102,7 +102,7 @@ let attach ?(mode = Fenced) ?(miss_threshold = 4) ?(probe_budget = 24)
       if !(t.churn) then false
       else begin
         t.churn := true;
-        Metrics.note_churn_request ();
+        Metrics.(incr Reconfig.churn_requests);
         true
       end);
   t
@@ -185,10 +185,10 @@ let reconfigure t ~(target : Net_abd.config) =
       | Some () ->
           Msim.write t.state { cur = target; proposed = None };
           t.reconfigs <- t.reconfigs + 1;
-          Metrics.note_reconfig ();
+          Metrics.(incr Reconfig.reconfigs);
           (match t.mode with
-          | Fenced -> Metrics.note_activation ()
-          | Naive -> Metrics.note_naive_swap ());
+          | Fenced -> Metrics.(incr Reconfig.activations)
+          | Naive -> Metrics.(incr Reconfig.naive_swaps));
           (* the replaced members' miss counters start afresh *)
           List.iter
             (fun n -> t.misses.(n - Net_abd.clients t.c) <- 0)
@@ -225,10 +225,10 @@ let probe_step t =
         t.misses.(i) <- t.misses.(i) + 1;
         if t.misses.(i) >= t.miss_threshold then begin
           t.suspected.(i) <- true;
-          Metrics.note_suspicion ();
+          Metrics.(incr Reconfig.suspicions);
           match replacement_members t members with
           | Some next when next <> members ->
-              Metrics.note_replacement ();
+              Metrics.(incr Reconfig.replacements);
               ignore (reconfigure t ~target:{ epoch = next_epoch (Msim.read t.state); members = next })
           | _ -> ()
         end
@@ -294,8 +294,8 @@ let mc_reconfigure t ~members =
   Net_abd.install_state ctx ~cfg:target x;
   t.mc_cur <- target;
   Net_abd.mc_set_config t.mc target;
-  Metrics.note_reconfig ();
+  Metrics.(incr Reconfig.reconfigs);
   (match t.mc_mode with
-  | Fenced -> Metrics.note_activation ()
-  | Naive -> Metrics.note_naive_swap ());
+  | Fenced -> Metrics.(incr Reconfig.activations)
+  | Naive -> Metrics.(incr Reconfig.naive_swaps));
   target

@@ -17,6 +17,8 @@
    counter and rewrites the whole triple — duplicate complete triples are
    harmless (recovery takes the last). *)
 
+module Metrics = Psnap_sched.Metrics
+
 module Make (St : Storage.S) = struct
   module W = Wal.Make (St)
 
@@ -27,5 +29,5 @@ module Make (St : Storage.S) = struct
     W.append dev (Wal.Checkpoint_end { gen });
     St.sync dev;
     if St.losses dev <> l0 then write dev ~gen ~next_lsn ~payload
-    else Psnap_sched.Metrics.note_checkpoint ()
+    else Metrics.incr Metrics.Durable.checkpoints
 end

@@ -184,7 +184,7 @@ struct
       W.append t.dev record;
       St.sync t.dev
     end;
-    Metrics.note_commit ();
+    Metrics.incr Metrics.Durable.commits;
     t.commits_since_ckpt <- t.commits_since_ckpt + 1;
     maybe_checkpoint h ~next_lsn:(lsn + 1);
     M.write t.lock (Free (lsn + 1))

@@ -76,12 +76,15 @@ let replay ~init records =
   }
 
 (* Device-level recovery: read, repair the tail, replay, account. *)
+module Metrics = Psnap_sched.Metrics
+
 module Make (St : Storage.S) = struct
   module W = Wal.Make (St)
 
   let load ?(repair = true) dev ~init =
     let d = W.read_all ~repair dev in
     let st = replay ~init d.Wal.records in
-    Psnap_sched.Metrics.note_recovery ~replayed:st.replayed;
+    Metrics.incr Metrics.Durable.recoveries;
+    Metrics.add Metrics.Durable.replayed_updates st.replayed;
     (st, d.Wal.damage)
 end

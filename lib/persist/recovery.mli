@@ -21,7 +21,7 @@ val replay : init:'a array -> Wal.record list -> 'a state
     happens in [Wal.Make.read_all ~repair] first). *)
 
 (** Device-level recovery: read, repair the tail, replay, account
-    ([Metrics.note_recovery] / [note_truncation]). *)
+    (the [Metrics.Durable] counters). *)
 module Make (St : Storage.S) : sig
   val load : ?repair:bool -> St.t -> init:'a array -> 'a state * Wal.damage
   (** [repair] defaults to [true]. *)

@@ -84,14 +84,15 @@ module Sim = struct
   let append t s =
     step t Psnap_sched.Event.Write;
     Buffer.add_string t.buf s;
-    Metrics.note_wal_append (String.length s)
+    Metrics.incr Metrics.Durable.wal_appends;
+    Metrics.add Metrics.Durable.wal_bytes (String.length s)
 
   (* [sync] steps as a distinct op kind (F&A) so nemeses can target "the
      barrier step" as opposed to "the append step" via [view.op_of]. *)
   let sync t =
     step t Psnap_sched.Event.Faa;
     t.synced <- Buffer.length t.buf;
-    Metrics.note_wal_sync ()
+    Metrics.incr Metrics.Durable.wal_syncs
 
   let size t = Buffer.length t.buf
 
@@ -130,7 +131,7 @@ module Sim = struct
         t.losses <- t.losses + 1)
       !devices;
     incr dispatched;
-    Metrics.note_power_loss ();
+    Metrics.incr Metrics.Durable.power_losses;
     !hit
 
   let () = Psnap_sched.Sim.set_power_loss_dispatcher apply_power_loss
@@ -159,11 +160,12 @@ module Mc = struct
 
   let append t s =
     locked t (fun () -> Buffer.add_string t.buf s);
-    Metrics.note_wal_append (String.length s)
+    Metrics.incr Metrics.Durable.wal_appends;
+    Metrics.add Metrics.Durable.wal_bytes (String.length s)
 
   let sync t =
     locked t (fun () -> t.synced <- Buffer.length t.buf);
-    Metrics.note_wal_sync ()
+    Metrics.incr Metrics.Durable.wal_syncs
 
   let size t = locked t (fun () -> Buffer.length t.buf)
 

@@ -84,6 +84,8 @@ let pp_record ppf = function
   | Checkpoint_end { gen } -> Fmt.pf ppf "ckpt-end gen=%d" gen
 
 (* Log I/O over a storage device. *)
+module Metrics = Psnap_sched.Metrics
+
 module Make (St : Storage.S) = struct
   let append dev r = St.append dev (encode r)
 
@@ -98,8 +100,10 @@ module Make (St : Storage.S) = struct
       if repair then begin
         let dropped = St.size dev - d.good_bytes in
         St.truncate dev d.good_bytes;
-        Psnap_sched.Metrics.note_truncation ~bytes:dropped
-          ~torn:(d.damage = Torn) ~corrupt:(d.damage = Corrupt)
+        Metrics.add Metrics.Durable.truncated_bytes dropped;
+        Metrics.incr
+          (if d.damage = Torn then Metrics.Durable.torn_records
+           else Metrics.Durable.corrupt_records)
       end);
     d
 

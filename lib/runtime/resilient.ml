@@ -233,13 +233,13 @@ struct
       b.bstate <- Open;
       b.cooldown <- C.breaker_cooldown;
       b.probes <- 0;
-      Metrics.note_breaker `Open
+      Metrics.(incr Serving.breaker_opens)
     | Closed ->
       b.strikes <- b.strikes + 1;
       if b.strikes >= C.breaker_threshold then begin
         b.bstate <- Open;
         b.cooldown <- C.breaker_cooldown;
-        Metrics.note_breaker `Open
+        Metrics.(incr Serving.breaker_opens)
       end
 
   (* A fully validated scan that included shard [s]: clears consecutive
@@ -254,7 +254,7 @@ struct
         b.bstate <- Closed;
         b.strikes <- 0;
         b.probes <- 0;
-        Metrics.note_breaker `Close
+        Metrics.(incr Serving.breaker_closes)
       end
     | Open -> ()
 
@@ -271,13 +271,13 @@ struct
         (* next scan probes it half-open; this one still skips *)
         b.bstate <- Half_open;
         b.probes <- 0;
-        Metrics.note_breaker `Half_open
+        Metrics.(incr Serving.breaker_half_opens)
       end;
       true
 
   let reclose t s =
     let b = t.breakers.(s) in
-    if b.bstate <> Closed then Metrics.note_breaker `Close;
+    if b.bstate <> Closed then Metrics.(incr Serving.breaker_closes);
     b.bstate <- Closed;
     b.strikes <- 0;
     b.probes <- 0;
@@ -310,7 +310,7 @@ struct
       done;
       if not !quiet then begin
         if M.cas t.ptrs.(s) ~expected:sealed ~desired:(Active st) then
-          Metrics.note_heal `Aborted
+          Metrics.(incr Serving.heals_aborted)
       end
       else begin
         let idxs = Array.init (shard_size t s) Fun.id in
@@ -326,7 +326,7 @@ struct
         let st' = Active { gen = st.gen + 1; impl = Healed (R.create ~n:t.n rows); epoch } in
         if M.cas t.ptrs.(s) ~expected:sealed ~desired:st' then begin
           reclose t s;
-          Metrics.note_heal `Completed
+          Metrics.(incr Serving.heals_completed)
         end
       end
 
@@ -339,7 +339,7 @@ struct
       match cur with
       | Active st ->
         if M.cas t.ptrs.(s) ~expected:cur ~desired:(Sealed st) then
-          Metrics.note_heal `Started
+          Metrics.(incr Serving.heals_started)
       | Sealed _ -> ()));
     complete_heal t ~pid s
 
@@ -402,7 +402,7 @@ struct
       | HR hr -> R.update hr j ((e, next_nonce ()), v));
       ignore (M.fetch_and_add t.inflight.(s) (-1));
       if stuck then begin
-        Metrics.note_stuck_epoch ();
+        Metrics.(incr Serving.stuck_epochs);
         strike t s;
         if not h.stuck_reported.(s) then begin
           h.stuck_reported.(s) <- true;
@@ -422,7 +422,7 @@ struct
       let d = min C.backoff_max (C.backoff_base lsl min attempt 16) in
       let d = max 1 d in
       let steps = d + (((h.pid * 31) + (attempt * 17)) mod (d + 1)) in
-      Metrics.note_backoff steps;
+      Metrics.(add Serving.backoff_steps steps);
       for _ = 1 to steps do
         ignore (M.read h.t.scratch)
       done
@@ -537,11 +537,12 @@ struct
           dis
       in
       let finish outcome =
-        Metrics.note_scan_rounds h.rounds;
+        Metrics.(add Serving.scan_rounds h.rounds);
+        if h.rounds > 2 then Metrics.(add Serving.scan_retries (h.rounds - 2));
         (match outcome with
         | Degraded _ ->
           h.degraded <- true;
-          Metrics.note_degraded_scan ()
+          Metrics.(incr Serving.degraded_scans)
         | Atomic _ -> ());
         outcome
       in
@@ -623,7 +624,7 @@ struct
 
   let force_open t s =
     let b = t.breakers.(s) in
-    if b.bstate <> Open then Metrics.note_breaker `Open;
+    if b.bstate <> Open then Metrics.(incr Serving.breaker_opens);
     b.bstate <- Open;
     (* effectively never half-opens on its own: for experiments that hold
        a circuit open for a whole run *)

@@ -143,8 +143,7 @@ module Make
   val scan_outcome : 'a handle -> int array -> 'a outcome
   (** The honest scan: [Atomic] or an explicit [Degraded] account.  At
       most [C.max_rounds] rounds.  Also recorded in
-      {!Psnap_sched.Metrics} ([note_scan_rounds], [note_degraded_scan],
-      [note_backoff]). *)
+      the {!Psnap_sched.Metrics.Serving} counters. *)
 
   val scan : 'a handle -> int array -> 'a array
   (** [scan_outcome] projected to values (the

@@ -184,7 +184,9 @@ struct
           settle (round ())
         end
       in
-      Psnap_sched.Metrics.note_scan_rounds h.rounds;
+      Psnap_sched.Metrics.(add Serving.scan_rounds h.rounds);
+      if h.rounds > 2 then
+        Psnap_sched.Metrics.(add Serving.scan_retries (h.rounds - 2));
       out
     end
 

@@ -78,8 +78,8 @@ end
     load generator — exactly like a flat instance.
     [last_scan_collects] reports the sub-scan collects summed over every
     round of the most recent scan, so validation retries show up in the
-    collect statistics.  Every scan also reports its round count through
-    [Psnap_sched.Metrics.note_scan_rounds], so validation retry rates are
+    collect statistics.  Every scan also adds its rounds to the
+    [Psnap_sched.Metrics.Serving] counters, so validation retry rates are
     visible in campaign summaries without threading handles around. *)
 module Make
     (M : Psnap_mem.Mem_intf.S)

@@ -1,4 +1,5 @@
-(** Per-operation step accounting and contention measures.
+(** Per-operation step accounting, contention measures, and the counter
+    registry.
 
     A {!sample} records, for one high-level operation instance (a [scan], an
     [update], a [join], ...), how many shared-memory steps its process
@@ -16,9 +17,9 @@ type sample = {
   resp : int;  (** stamp at response *)
 }
 
-type recorder = { mutable samples : sample list; mutable count : int }
+type recorder = { mutable samples : sample list }
 
-let create () = { samples = []; count = 0 }
+let create () = { samples = [] }
 
 let samples r = List.rev r.samples
 
@@ -31,7 +32,6 @@ let measure r ~pid ~kind f =
   let resp = Sim.mark () in
   let s1 = Sim.steps_of pid in
   r.samples <- { pid; kind; steps = s1 - s0; inv; resp } :: r.samples;
-  r.count <- r.count + 1;
   y
 
 let by_kind r kind = List.filter (fun s -> s.kind = kind) (samples r)
@@ -99,242 +99,136 @@ let pp_sanitizer ppf s =
   Format.fprintf ppf "sanitizer: strict=%b checked=%d escaped=%d" s.strict
     s.checked s.escaped
 
-(** {2 Serving-layer counters} *)
+(** {2 Counter registry} *)
 
-(* Global counters bumped by the Psnap_runtime serving layer (Sharded scan
-   validation, the Resilient supervision layer).  Plain references, like
-   [Hardened]'s stats: exact under the cooperative simulator, approximate
-   (unsynchronized increments) under the multi-domain loadgen — they are
-   observability signals, not linearizable state. *)
+type counter = { name : string; help : string; cell : int Atomic.t }
 
-let s_scan_rounds = ref 0
+type group = { title : string; mutable counters : counter list }
 
-let s_scan_retries = ref 0
+let incr c = Atomic.incr c.cell
 
-let s_degraded_scans = ref 0
+let add c k = ignore (Atomic.fetch_and_add c.cell k)
 
-let s_backoff_steps = ref 0
+let get c = Atomic.get c.cell
 
-let s_breaker_opens = ref 0
+let help c = c.help
 
-let s_breaker_half_opens = ref 0
+let counters g = g.counters
 
-let s_breaker_closes = ref 0
+(* Appends a counter to its group; runs only while this module
+   initialises, so the group's list is never mutated concurrently. *)
+let counter g name help =
+  let c = { name; help; cell = Atomic.make 0 } in
+  g.counters <- g.counters @ [ c ];
+  c
 
-let s_heals_started = ref 0
+let reset g = List.iter (fun c -> Atomic.set c.cell 0) g.counters
 
-let s_heals_completed = ref 0
+type reading = { group : string; values : (string * int) list }
 
-let s_heals_aborted = ref 0
+let read g =
+  { group = g.title; values = List.map (fun c -> (c.name, get c)) g.counters }
 
-let s_stuck_epochs = ref 0
+let pp ppf r =
+  Format.fprintf ppf "%s:" r.group;
+  List.iter (fun (k, v) -> Format.fprintf ppf " %s=%d" k v) r.values
 
-type serving = {
-  scan_rounds : int;
-  scan_retries : int;
-  degraded_scans : int;
-  backoff_steps : int;
-  breaker_opens : int;
-  breaker_half_opens : int;
-  breaker_closes : int;
-  heals_started : int;
-  heals_completed : int;
-  heals_aborted : int;
-  stuck_epochs : int;
-}
+let fields r = List.map (fun (k, v) -> (k, string_of_int v)) r.values
 
-let serving () =
-  {
-    scan_rounds = !s_scan_rounds;
-    scan_retries = !s_scan_retries;
-    degraded_scans = !s_degraded_scans;
-    backoff_steps = !s_backoff_steps;
-    breaker_opens = !s_breaker_opens;
-    breaker_half_opens = !s_breaker_half_opens;
-    breaker_closes = !s_breaker_closes;
-    heals_started = !s_heals_started;
-    heals_completed = !s_heals_completed;
-    heals_aborted = !s_heals_aborted;
-    stuck_epochs = !s_stuck_epochs;
-  }
+let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b
 
-let reset_serving () =
-  s_scan_rounds := 0;
-  s_scan_retries := 0;
-  s_degraded_scans := 0;
-  s_backoff_steps := 0;
-  s_breaker_opens := 0;
-  s_breaker_half_opens := 0;
-  s_breaker_closes := 0;
-  s_heals_started := 0;
-  s_heals_completed := 0;
-  s_heals_aborted := 0;
-  s_stuck_epochs := 0
+module Serving = struct
+  let group = { title = "serving"; counters = [] }
+  let c = counter group
+  let scan_rounds = c "scan_rounds" "sub-scan rounds executed by scans"
+  let scan_retries = c "scan_retries" "rounds beyond the validating pair"
+  let degraded_scans = c "degraded_scans" "scans returning Degraded"
+  let backoff_steps = c "backoff_steps" "base reads spent backing off"
+  let breaker_opens = c "breaker_opens" "circuit transitions into Open"
+  let breaker_half_opens = c "breaker_half_opens" "transitions into Half_open"
+  let breaker_closes = c "breaker_closes" "transitions back into Closed"
+  let heals_started = c "heals_started" "shard rebuilds initiated (sealed)"
+  let heals_completed = c "heals_completed" "rebuilds swapped in atomically"
+  let heals_aborted = c "heals_aborted" "rebuilds abandoned (quiescence)"
+  let stuck_epochs = c "stuck_epochs" "non-monotone epoch draws by updates"
+end
 
-let note_scan_rounds rounds =
-  s_scan_rounds := !s_scan_rounds + rounds;
-  if rounds > 2 then s_scan_retries := !s_scan_retries + (rounds - 2)
+module Durable = struct
+  let group = { title = "durable"; counters = [] }
+  let c = counter group
+  let wal_appends = c "wal_appends" "records appended to a WAL"
+  let wal_syncs = c "wal_syncs" "storage sync barriers issued"
+  let wal_bytes = c "wal_bytes" "total bytes appended"
+  let commits = c "commits" "durable updates acknowledged"
+  let checkpoints = c "checkpoints" "sealed checkpoint triples written"
+  let recoveries = c "recoveries" "recovery passes executed"
+  let replayed_updates = c "replayed_updates" "records re-applied on recovery"
+  let truncated_bytes = c "truncated_bytes" "log-tail bytes discarded"
+  let torn_records = c "torn_records" "recoveries that cut a torn record"
+  let corrupt_records = c "corrupt_records" "recoveries that hit a bad CRC"
+  let power_losses = c "power_losses" "power losses seen by storage devices"
+end
 
-let note_degraded_scan () = incr s_degraded_scans
+module Net = struct
+  let group = { title = "net"; counters = [] }
+  let c = counter group
+  let sends = c "sends" "messages enqueued on a link"
+  let delivers = c "delivers" "messages received by a node"
+  let net_drops = c "net_drops" "injected Drop_msg effects"
+  let net_dups = c "net_dups" "injected Dup_msg effects"
+  let net_delays = c "net_delays" "injected Delay_msg effects"
+  let net_cuts = c "net_cuts" "injected Cut_link effects"
+  let net_heals = c "net_heals" "injected Heal_link effects"
+  let quorum_rounds = c "quorum_rounds" "completed Get or Put quorum phases"
+  let resends = c "resends" "rebroadcasts beyond each phase's first"
+  let writebacks = c "writebacks" "read-repair write-back rounds executed"
+  let writeback_skips = c "writeback_skips" "write-backs soundly skipped"
+  let unavailable = c "unavailable" "operations that raised Unavailable"
+  let quorum_ops = c "quorum_ops" "completed quorum operations"
+  let quorum_wait = c "quorum_wait" "poll-steps spent awaiting quorums"
 
-let note_backoff steps = s_backoff_steps := !s_backoff_steps + steps
+  let fault : Event.net_fault_kind -> counter = function
+    | Event.Drop_msg -> net_drops
+    | Event.Dup_msg -> net_dups
+    | Event.Delay_msg -> net_delays
+    | Event.Cut_link -> net_cuts
+    | Event.Heal_link -> net_heals
 
-let note_breaker = function
-  | `Open -> incr s_breaker_opens
-  | `Half_open -> incr s_breaker_half_opens
-  | `Close -> incr s_breaker_closes
+  let mean_quorum_wait () = ratio (get quorum_wait) (get quorum_ops)
+end
 
-let note_heal = function
-  | `Started -> incr s_heals_started
-  | `Completed -> incr s_heals_completed
-  | `Aborted -> incr s_heals_aborted
+module Reconfig = struct
+  let group = { title = "reconfig"; counters = [] }
+  let c = counter group
+  let reconfigs = c "reconfigs" "reconfigurations completed end-to-end"
+  let seals = c "seals" "old configurations sealed (phase 1)"
+  let transfers = c "transfers" "registers transferred to a new epoch"
+  let activations = c "activations" "new configurations activated (phase 2)"
+  let stale_rejects = c "stale_rejects" "requests fenced off by epoch"
+  let epoch_chases = c "epoch_chases" "retries after adopting a newer config"
+  let suspicions = c "suspicions" "replicas suspected by the health layer"
+  let replacements = c "replacements" "replacement configs auto-proposed"
+  let churn_requests = c "churn_requests" "Scheduler.Reconfig decisions taken"
+  let naive_swaps = c "naive_swaps" "unfenced membership swaps (naive mode)"
+end
 
-let note_stuck_epoch () = incr s_stuck_epochs
+module Txn = struct
+  let group = { title = "txn"; counters = [] }
+  let c = counter group
+  let begins = c "begins" "transactions begun"
+  let ro_commits = c "ro_commits" "read-only commits (never validated)"
+  let rw_commits = c "rw_commits" "read-write commits published"
+  let conflicts = c "conflicts" "first-committer-wins validation aborts"
+  let busy_aborts = c "busy_aborts" "commit-descriptor acquisition exhausted"
+  let voluntary_aborts = c "voluntary_aborts" "explicit abort calls"
+  let lww_overwrites = c "lww_overwrites" "unsound-mode lost-update risks"
+  let resumes = c "resumes" "dead incarnations' descriptors finished"
+  let pruned_versions = c "pruned_versions" "versions pruned below watermark"
 
-let pp_serving ppf s =
-  Format.fprintf ppf
-    "serving: rounds=%d retries=%d degraded=%d backoff=%d breaker \
-     o/h/c=%d/%d/%d heals s/c/a=%d/%d/%d stuck-epochs=%d"
-    s.scan_rounds s.scan_retries s.degraded_scans s.backoff_steps
-    s.breaker_opens s.breaker_half_opens s.breaker_closes s.heals_started
-    s.heals_completed s.heals_aborted s.stuck_epochs
-
-(** {2 Durability counters} *)
-
-(* Global counters bumped by the Psnap_persist layer (WAL appends,
-   checkpoints, recoveries).  Same discipline as the serving counters:
-   plain references — exact under the cooperative simulator, approximate
-   under the multi-domain loadgen, observability only. *)
-
-let d_wal_appends = ref 0
-
-let d_wal_syncs = ref 0
-
-let d_wal_bytes = ref 0
-
-let d_commits = ref 0
-
-let d_checkpoints = ref 0
-
-let d_recoveries = ref 0
-
-let d_replayed_updates = ref 0
-
-let d_truncated_bytes = ref 0
-
-let d_torn_records = ref 0
-
-let d_corrupt_records = ref 0
-
-let d_power_losses = ref 0
-
-type durable = {
-  wal_appends : int;
-  wal_syncs : int;
-  wal_bytes : int;
-  commits : int;
-  checkpoints : int;
-  recoveries : int;
-  replayed_updates : int;
-  truncated_bytes : int;
-  torn_records : int;
-  corrupt_records : int;
-  power_losses : int;
-}
-
-let durable () =
-  {
-    wal_appends = !d_wal_appends;
-    wal_syncs = !d_wal_syncs;
-    wal_bytes = !d_wal_bytes;
-    commits = !d_commits;
-    checkpoints = !d_checkpoints;
-    recoveries = !d_recoveries;
-    replayed_updates = !d_replayed_updates;
-    truncated_bytes = !d_truncated_bytes;
-    torn_records = !d_torn_records;
-    corrupt_records = !d_corrupt_records;
-    power_losses = !d_power_losses;
-  }
-
-let reset_durable () =
-  d_wal_appends := 0;
-  d_wal_syncs := 0;
-  d_wal_bytes := 0;
-  d_commits := 0;
-  d_checkpoints := 0;
-  d_recoveries := 0;
-  d_replayed_updates := 0;
-  d_truncated_bytes := 0;
-  d_torn_records := 0;
-  d_corrupt_records := 0;
-  d_power_losses := 0
-
-let note_wal_append bytes =
-  incr d_wal_appends;
-  d_wal_bytes := !d_wal_bytes + bytes
-
-let note_wal_sync () = incr d_wal_syncs
-
-let note_commit () = incr d_commits
-
-let note_checkpoint () = incr d_checkpoints
-
-let note_recovery ~replayed =
-  incr d_recoveries;
-  d_replayed_updates := !d_replayed_updates + replayed
-
-let note_truncation ~bytes ~torn ~corrupt =
-  d_truncated_bytes := !d_truncated_bytes + bytes;
-  if torn then incr d_torn_records;
-  if corrupt then incr d_corrupt_records
-
-let note_power_loss () = incr d_power_losses
-
-let pp_durable ppf d =
-  Format.fprintf ppf
-    "durable: appends=%d syncs=%d bytes=%d commits=%d checkpoints=%d \
-     recoveries=%d replayed=%d truncated=%dB torn=%d corrupt=%d \
-     power-losses=%d"
-    d.wal_appends d.wal_syncs d.wal_bytes d.commits d.checkpoints
-    d.recoveries d.replayed_updates d.truncated_bytes d.torn_records
-    d.corrupt_records d.power_losses
-
-(** {2 Network counters} *)
-
-(* Global counters bumped by the Psnap_net transport and the ABD quorum
-   registers (docs/MODEL.md §14).  Same discipline as the serving and
-   durable counters: plain references — exact under the cooperative
-   simulator, approximate (unsynchronized increments) under the
-   multi-domain loadgen, observability only. *)
-
-let n_sends = ref 0
-
-let n_delivers = ref 0
-
-let n_drops = ref 0
-
-let n_dups = ref 0
-
-let n_delays = ref 0
-
-let n_cuts = ref 0
-
-let n_heals = ref 0
-
-let n_rounds = ref 0
-
-let n_resends = ref 0
-
-let n_writebacks = ref 0
-
-let n_writeback_skips = ref 0
-
-let n_unavailable = ref 0
-
-let n_quorum_ops = ref 0
-
-let n_quorum_wait = ref 0
+  let abort_rate () =
+    let failed = get conflicts + get busy_aborts in
+    ratio failed (get rw_commits + failed)
+end
 
 type net = {
   sends : int;
@@ -354,266 +248,25 @@ type net = {
 }
 
 let net () =
+  let open Net in
   {
-    sends = !n_sends;
-    delivers = !n_delivers;
-    drops = !n_drops;
-    dups = !n_dups;
-    delays = !n_delays;
-    cuts = !n_cuts;
-    heals = !n_heals;
-    rounds = !n_rounds;
-    resends = !n_resends;
-    writebacks = !n_writebacks;
-    writeback_skips = !n_writeback_skips;
-    unavailable = !n_unavailable;
-    quorum_ops = !n_quorum_ops;
-    quorum_wait = !n_quorum_wait;
+    sends = get sends;
+    delivers = get delivers;
+    drops = get net_drops;
+    dups = get net_dups;
+    delays = get net_delays;
+    cuts = get net_cuts;
+    heals = get net_heals;
+    rounds = get quorum_rounds;
+    resends = get resends;
+    writebacks = get writebacks;
+    writeback_skips = get writeback_skips;
+    unavailable = get unavailable;
+    quorum_ops = get quorum_ops;
+    quorum_wait = get quorum_wait;
   }
 
-let reset_net () =
-  n_sends := 0;
-  n_delivers := 0;
-  n_drops := 0;
-  n_dups := 0;
-  n_delays := 0;
-  n_cuts := 0;
-  n_heals := 0;
-  n_rounds := 0;
-  n_resends := 0;
-  n_writebacks := 0;
-  n_writeback_skips := 0;
-  n_unavailable := 0;
-  n_quorum_ops := 0;
-  n_quorum_wait := 0
-
-let note_send () = incr n_sends
-
-let note_deliver () = incr n_delivers
-
-let note_net_fault (kind : Event.net_fault_kind) =
-  match kind with
-  | Event.Drop_msg -> incr n_drops
-  | Event.Dup_msg -> incr n_dups
-  | Event.Delay_msg -> incr n_delays
-  | Event.Cut_link -> incr n_cuts
-  | Event.Heal_link -> incr n_heals
-
-let note_quorum_round () = incr n_rounds
-
-let note_resend () = incr n_resends
-
-let note_writeback ~skipped =
-  if skipped then incr n_writeback_skips else incr n_writebacks
-
-let note_unavailable () = incr n_unavailable
-
-let note_quorum_op ~wait =
-  incr n_quorum_ops;
-  n_quorum_wait := !n_quorum_wait + wait
-
-let mean_quorum_wait n =
-  if n.quorum_ops = 0 then 0.0
-  else float_of_int n.quorum_wait /. float_of_int n.quorum_ops
-
-let pp_net ppf n =
-  Format.fprintf ppf
-    "net: sends=%d delivers=%d drops=%d dups=%d delays=%d cuts=%d heals=%d \
-     rounds=%d resends=%d writebacks=%d/%d-skipped unavailable=%d \
-     quorum-wait=%.1f"
-    n.sends n.delivers n.drops n.dups n.delays n.cuts n.heals n.rounds
-    n.resends n.writebacks n.writeback_skips n.unavailable
-    (mean_quorum_wait n)
-
-(** {2 Reconfiguration counters} *)
-
-(* Global counters bumped by the Psnap_net membership layer
-   (docs/MODEL.md §16).  Same discipline as the other counter groups:
-   plain references — exact under the cooperative simulator, approximate
-   (unsynchronized increments) under the multi-domain loadgen,
-   observability only. *)
-
-let r_reconfigs = ref 0
-
-let r_seals = ref 0
-
-let r_transfers = ref 0
-
-let r_activations = ref 0
-
-let r_stale_rejects = ref 0
-
-let r_epoch_chases = ref 0
-
-let r_suspicions = ref 0
-
-let r_replacements = ref 0
-
-let r_churn_requests = ref 0
-
-let r_naive_swaps = ref 0
-
-type reconfig = {
-  reconfigs : int;
-  seals : int;
-  transfers : int;
-  activations : int;
-  stale_rejects : int;
-  epoch_chases : int;
-  suspicions : int;
-  replacements : int;
-  churn_requests : int;
-  naive_swaps : int;
-}
-
-let reconfig () =
-  {
-    reconfigs = !r_reconfigs;
-    seals = !r_seals;
-    transfers = !r_transfers;
-    activations = !r_activations;
-    stale_rejects = !r_stale_rejects;
-    epoch_chases = !r_epoch_chases;
-    suspicions = !r_suspicions;
-    replacements = !r_replacements;
-    churn_requests = !r_churn_requests;
-    naive_swaps = !r_naive_swaps;
-  }
-
-let reset_reconfig () =
-  r_reconfigs := 0;
-  r_seals := 0;
-  r_transfers := 0;
-  r_activations := 0;
-  r_stale_rejects := 0;
-  r_epoch_chases := 0;
-  r_suspicions := 0;
-  r_replacements := 0;
-  r_churn_requests := 0;
-  r_naive_swaps := 0
-
-let note_reconfig () = incr r_reconfigs
-
-let note_seal () = incr r_seals
-
-let note_transfer ~registers = r_transfers := !r_transfers + registers
-
-let note_activation () = incr r_activations
-
-let note_stale_reject () = incr r_stale_rejects
-
-let note_epoch_chase () = incr r_epoch_chases
-
-let note_suspicion () = incr r_suspicions
-
-let note_replacement () = incr r_replacements
-
-let note_churn_request () = incr r_churn_requests
-
-let note_naive_swap () = incr r_naive_swaps
-
-let pp_reconfig ppf r =
-  Format.fprintf ppf
-    "reconfig: reconfigs=%d seals=%d transfers=%d activations=%d \
-     stale-rejects=%d epoch-chases=%d suspicions=%d replacements=%d \
-     churn-requests=%d naive-swaps=%d"
-    r.reconfigs r.seals r.transfers r.activations r.stale_rejects
-    r.epoch_chases r.suspicions r.replacements r.churn_requests r.naive_swaps
-
-(** {2 Transaction counters} *)
-
-(* Global counters bumped by the Psnap_txn MVCC layer (docs/MODEL.md §15).
-   Same discipline as the serving, durable and net counters: plain
-   references — exact under the cooperative simulator, approximate
-   (unsynchronized increments) under the multi-domain loadgen,
-   observability only. *)
-
-let t_begins = ref 0
-
-let t_ro_commits = ref 0
-
-let t_rw_commits = ref 0
-
-let t_conflicts = ref 0
-
-let t_busy_aborts = ref 0
-
-let t_voluntary_aborts = ref 0
-
-let t_lww_overwrites = ref 0
-
-let t_resumes = ref 0
-
-let t_pruned_versions = ref 0
-
-type txn = {
-  begins : int;
-  ro_commits : int;
-  rw_commits : int;
-  conflicts : int;
-  busy_aborts : int;
-  voluntary_aborts : int;
-  lww_overwrites : int;
-  resumes : int;
-  pruned_versions : int;
-}
-
-let txn () =
-  {
-    begins = !t_begins;
-    ro_commits = !t_ro_commits;
-    rw_commits = !t_rw_commits;
-    conflicts = !t_conflicts;
-    busy_aborts = !t_busy_aborts;
-    voluntary_aborts = !t_voluntary_aborts;
-    lww_overwrites = !t_lww_overwrites;
-    resumes = !t_resumes;
-    pruned_versions = !t_pruned_versions;
-  }
-
-let reset_txn () =
-  t_begins := 0;
-  t_ro_commits := 0;
-  t_rw_commits := 0;
-  t_conflicts := 0;
-  t_busy_aborts := 0;
-  t_voluntary_aborts := 0;
-  t_lww_overwrites := 0;
-  t_resumes := 0;
-  t_pruned_versions := 0
-
-let note_txn_begin () = incr t_begins
-
-let note_txn_ro_commit () = incr t_ro_commits
-
-let note_txn_rw_commit () = incr t_rw_commits
-
-let note_txn_conflict () = incr t_conflicts
-
-let note_txn_busy () = incr t_busy_aborts
-
-let note_txn_voluntary_abort () = incr t_voluntary_aborts
-
-let note_txn_lww_overwrite () = incr t_lww_overwrites
-
-let note_txn_resume () = incr t_resumes
-
-let note_txn_pruned k = t_pruned_versions := !t_pruned_versions + k
-
-let txn_aborts t = t.conflicts + t.busy_aborts + t.voluntary_aborts
-
-let txn_abort_rate t =
-  let attempts = t.rw_commits + t.conflicts + t.busy_aborts in
-  if attempts = 0 then 0.0
-  else float_of_int (t.conflicts + t.busy_aborts) /. float_of_int attempts
-
-let pp_txn ppf t =
-  Format.fprintf ppf
-    "txn: begins=%d commits ro/rw=%d/%d aborts c/b/v=%d/%d/%d \
-     abort-rate=%.3f lww-overwrites=%d resumes=%d pruned=%d"
-    t.begins t.ro_commits t.rw_commits t.conflicts t.busy_aborts
-    t.voluntary_aborts (txn_abort_rate t) t.lww_overwrites t.resumes
-    t.pruned_versions
+let reset_net () = reset Net.group
 
 (** {2 Memory faults} *)
 

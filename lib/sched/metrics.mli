@@ -1,11 +1,24 @@
-(** Per-operation step accounting and the paper's contention measures.
+(** Per-operation step accounting, the paper's contention measures, and
+    the registry of per-layer counters.
 
     A {!sample} records, for one high-level operation instance (a scan, an
     update, a join, ...), how many shared-memory steps its process executed
     on its behalf and the stamp interval during which it was active.  From
     the intervals the contention measures of Section 2 are computed:
     interval contention [C] (operations whose active intervals overlap) and
-    point contention [Ċ] (maximum simultaneously active). *)
+    point contention [Ċ] (maximum simultaneously active).
+
+    Every counter of the serving, durable, net, reconfig and txn layers is
+    declared once, in [metrics.ml], inside its group's module, with its
+    name and a help string:
+    {[
+      let wal_syncs = c "wal_syncs" "storage sync barriers issued"
+    ]}
+    The name is the counter's key on the console and in JSON summaries, so
+    names are unique across groups.  A layer bumps the counter through its
+    handle, [Metrics.(incr Durable.wal_syncs)].  Each counter is an
+    [int Atomic.t]: counts are exact under the cooperative simulator and
+    under real [Domain]s alike. *)
 
 type sample = {
   pid : int;
@@ -68,265 +81,165 @@ val reset_sanitizer : unit -> unit
 
 val pp_sanitizer : Format.formatter -> sanitizer -> unit
 
-(** {2 Serving-layer counters}
+(** {2 Counter registry}
 
-    Global counters bumped by the [Psnap_runtime] serving layer: validation
-    rounds and retries of sharded scans, degraded-scan and backoff totals,
-    circuit-breaker transitions, and shard-heal outcomes of the resilient
-    supervision layer (docs/MODEL.md §11).  Plain references, like the
-    hardened-register stats: exact under the cooperative simulator,
-    approximate (unsynchronized increments) under the multi-domain
-    loadgen. *)
+    A reader takes {!get} of one counter, or {!read}s a whole group.  A
+    reading taken while domains bump the group is exact per counter but
+    not an atomic snapshot of the group. *)
 
-type serving = {
-  scan_rounds : int;  (** per-shard sub-scan rounds executed by scans *)
-  scan_retries : int;  (** rounds beyond the minimal validating pair *)
-  degraded_scans : int;  (** scans that returned a [Degraded] result *)
-  backoff_steps : int;  (** base-memory reads spent backing off *)
-  breaker_opens : int;  (** circuit transitions into [Open] *)
-  breaker_half_opens : int;  (** transitions into [Half_open] *)
-  breaker_closes : int;  (** transitions back into [Closed] *)
-  heals_started : int;  (** shard rebuilds initiated (shard sealed) *)
-  heals_completed : int;  (** rebuilds swapped in atomically *)
-  heals_aborted : int;  (** rebuilds abandoned (quiescence timeout) *)
-  stuck_epochs : int;  (** non-monotone epoch draws detected by updates *)
-}
+type counter
 
-val serving : unit -> serving
+type group
 
-val reset_serving : unit -> unit
+val incr : counter -> unit
 
-(** Bump API used by [Psnap_runtime.Sharded] / [Psnap_runtime.Resilient]. *)
+val add : counter -> int -> unit
 
-val note_scan_rounds : int -> unit
+val get : counter -> int
 
-val note_degraded_scan : unit -> unit
+val help : counter -> string
 
-val note_backoff : int -> unit
+(** The group's counters, in declaration order. *)
+val counters : group -> counter list
 
-val note_breaker : [ `Open | `Half_open | `Close ] -> unit
+(** Zero every counter of the group, leaving other groups alone. *)
+val reset : group -> unit
 
-val note_heal : [ `Started | `Completed | `Aborted ] -> unit
+(** A group's title and its counters' values, in declaration order. *)
+type reading = { group : string; values : (string * int) list }
 
-val note_stuck_epoch : unit -> unit
+val read : group -> reading
 
-val pp_serving : Format.formatter -> serving -> unit
+(** One console line: ["durable: wal_appends=3 wal_syncs=3 ..."]. *)
+val pp : Format.formatter -> reading -> unit
 
-(** {2 Durability counters}
+(** The reading's JSON fields: each counter's name and decimal value. *)
+val fields : reading -> (string * string) list
 
-    Global counters bumped by the [Psnap_persist] layer (docs/MODEL.md
-    §13): WAL traffic, commits and checkpoints, recoveries with their
-    replay volume, the bytes and records discarded while repairing a log
-    tail, and power losses observed by the storage backend.  Same
-    discipline as the serving counters: plain references — exact under the
-    cooperative simulator, approximate under the multi-domain loadgen. *)
+(** The [Psnap_runtime] serving layer: validation rounds of sharded
+    scans, degraded scans and backoff, circuit-breaker transitions and
+    shard heals of the resilient supervision layer (docs/MODEL.md §11). *)
+module Serving : sig
+  val group : group
+  val scan_rounds : counter
+  val scan_retries : counter
+  val degraded_scans : counter
+  val backoff_steps : counter
+  val breaker_opens : counter
+  val breaker_half_opens : counter
+  val breaker_closes : counter
+  val heals_started : counter
+  val heals_completed : counter
+  val heals_aborted : counter
+  val stuck_epochs : counter
+end
 
-type durable = {
-  wal_appends : int;  (** records appended to a WAL *)
-  wal_syncs : int;  (** storage [sync] barriers issued *)
-  wal_bytes : int;  (** total bytes appended *)
-  commits : int;  (** durable updates acknowledged *)
-  checkpoints : int;  (** sealed checkpoint triples written *)
-  recoveries : int;  (** recovery passes executed *)
-  replayed_updates : int;  (** update records re-applied by recoveries *)
-  truncated_bytes : int;  (** log-tail bytes discarded by recoveries *)
-  torn_records : int;  (** recoveries that discarded a torn tail record *)
-  corrupt_records : int;  (** recoveries that hit a checksum mismatch *)
-  power_losses : int;  (** power losses observed by storage devices *)
-}
+(** The [Psnap_persist] layer (docs/MODEL.md §13): WAL traffic, commits
+    and checkpoints, recoveries with their replay volume, log-tail
+    repairs, and power losses seen by the storage backend. *)
+module Durable : sig
+  val group : group
+  val wal_appends : counter
+  val wal_syncs : counter
+  val wal_bytes : counter
+  val commits : counter
+  val checkpoints : counter
+  val recoveries : counter
+  val replayed_updates : counter
+  val truncated_bytes : counter
+  val torn_records : counter
+  val corrupt_records : counter
+  val power_losses : counter
+end
 
-val durable : unit -> durable
+(** The [Psnap_net] transport and ABD quorum registers (docs/MODEL.md
+    §14): message traffic, injected network-fault effects (absorbed
+    decisions are not counted), quorum rounds and resends, read
+    write-backs and their sound skips, operations that gave up with
+    [Unavailable], and the poll-steps spent awaiting quorums. *)
+module Net : sig
+  val group : group
+  val sends : counter
+  val delivers : counter
+  val net_drops : counter
+  val net_dups : counter
+  val net_delays : counter
+  val net_cuts : counter
+  val net_heals : counter
+  val quorum_rounds : counter
+  val resends : counter
+  val writebacks : counter
+  val writeback_skips : counter
+  val unavailable : counter
+  val quorum_ops : counter
+  val quorum_wait : counter
 
-val reset_durable : unit -> unit
+  (** The counter of one injected fault kind. *)
+  val fault : Event.net_fault_kind -> counter
 
-(** Bump API used by [Psnap_persist]. *)
+  (** Mean poll-steps per completed quorum operation. *)
+  val mean_quorum_wait : unit -> float
+end
 
-val note_wal_append : int -> unit
-(** [note_wal_append bytes] — one record of [bytes] bytes appended. *)
+(** The [Psnap_net] membership layer (docs/MODEL.md §16): the phases of
+    each reconfiguration, epoch fencing and chasing, health-layer
+    suspicions and replacements, churn requests, and the unfenced swaps
+    of the unsound [naive] mode. *)
+module Reconfig : sig
+  val group : group
+  val reconfigs : counter
+  val seals : counter
+  val transfers : counter
+  val activations : counter
+  val stale_rejects : counter
+  val epoch_chases : counter
+  val suspicions : counter
+  val replacements : counter
+  val churn_requests : counter
+  val naive_swaps : counter
+end
 
-val note_wal_sync : unit -> unit
+(** The [Psnap_txn] MVCC layer (docs/MODEL.md §15): begins, commits, the
+    three abort classes, last-writer-wins overwrites, crash-restart
+    resumes and pruned versions. *)
+module Txn : sig
+  val group : group
+  val begins : counter
+  val ro_commits : counter
+  val rw_commits : counter
+  val conflicts : counter
+  val busy_aborts : counter
+  val voluntary_aborts : counter
+  val lww_overwrites : counter
+  val resumes : counter
+  val pruned_versions : counter
 
-val note_commit : unit -> unit
+  (** Aborted fraction of read-write commit attempts. *)
+  val abort_rate : unit -> float
+end
 
-val note_checkpoint : unit -> unit
-
-val note_recovery : replayed:int -> unit
-
-val note_truncation : bytes:int -> torn:bool -> corrupt:bool -> unit
-
-val note_power_loss : unit -> unit
-
-val pp_durable : Format.formatter -> durable -> unit
-
-(** {2 Network counters}
-
-    Global counters bumped by the [Psnap_net] transport and the ABD quorum
-    registers (docs/MODEL.md §14): message traffic, injected network-fault
-    effects, quorum protocol rounds and resends, read write-backs (and the
-    sound skip when every quorum replier already holds the maximal tag),
-    operations that gave up with [Unavailable], and the poll-steps clients
-    spent waiting for quorums (the step-denominated quorum latency).  Same
-    discipline as the serving counters: plain references — exact under the
-    cooperative simulator, approximate under the multi-domain loadgen. *)
-
+(** A typed view of the {!Net} group, for readers that predate the
+    registry. *)
 type net = {
-  sends : int;  (** messages enqueued on a link *)
-  delivers : int;  (** messages received by a node *)
-  drops : int;  (** injected [Drop_msg] effects *)
-  dups : int;  (** injected [Dup_msg] effects *)
-  delays : int;  (** injected [Delay_msg] effects *)
-  cuts : int;  (** injected [Cut_link] effects *)
-  heals : int;  (** injected [Heal_link] effects *)
-  rounds : int;  (** completed quorum phases (Get or Put rounds) *)
-  resends : int;  (** request rebroadcasts beyond each phase's first *)
-  writebacks : int;  (** read-repair write-back rounds executed *)
+  sends : int;
+  delivers : int;
+  drops : int;
+  dups : int;
+  delays : int;
+  cuts : int;
+  heals : int;
+  rounds : int;
+  resends : int;
+  writebacks : int;
   writeback_skips : int;
-      (** write-backs soundly skipped (every replier already maximal) *)
-  unavailable : int;  (** operations that raised [Unavailable] *)
-  quorum_ops : int;  (** completed quorum operations *)
-  quorum_wait : int;  (** total poll-steps spent awaiting quorums *)
+  unavailable : int;
+  quorum_ops : int;
+  quorum_wait : int;
 }
 
 val net : unit -> net
 
 val reset_net : unit -> unit
-
-(** Bump API used by [Psnap_net]. *)
-
-val note_send : unit -> unit
-
-val note_deliver : unit -> unit
-
-val note_net_fault : Event.net_fault_kind -> unit
-(** One fault effect actually injected (absorbed decisions are not
-    counted here; the transport's own counters track absorption). *)
-
-val note_quorum_round : unit -> unit
-
-val note_resend : unit -> unit
-
-val note_writeback : skipped:bool -> unit
-
-val note_unavailable : unit -> unit
-
-val note_quorum_op : wait:int -> unit
-(** One quorum operation completed after [wait] poll-steps. *)
-
-(** Mean poll-steps per completed quorum operation. *)
-val mean_quorum_wait : net -> float
-
-val pp_net : Format.formatter -> net -> unit
-
-(** {2 Reconfiguration counters}
-
-    Global counters bumped by the [Psnap_net] membership layer
-    (docs/MODEL.md §16): reconfigurations completed end-to-end, the seal /
-    state-transfer / activation phases executed, stale requests fenced off
-    by epoch tags, clients chasing a newer configuration after a fence
-    rejection, health-layer suspicions and the replacement configurations
-    they proposed, scheduler-driven churn requests, and the unfenced swaps
-    of the deliberately-unsound [naive] mode.  Same discipline as the
-    other groups: plain references — exact under the cooperative
-    simulator, approximate under the multi-domain loadgen. *)
-
-type reconfig = {
-  reconfigs : int;  (** reconfigurations completed end-to-end *)
-  seals : int;  (** old configurations sealed (phase 1) *)
-  transfers : int;  (** registers state-transferred to a new epoch *)
-  activations : int;  (** new configurations activated (phase 2) *)
-  stale_rejects : int;  (** requests a replica fenced off by epoch *)
-  epoch_chases : int;  (** client retries after adopting a newer config *)
-  suspicions : int;  (** replicas suspected by the health layer *)
-  replacements : int;  (** replacement configurations auto-proposed *)
-  churn_requests : int;  (** {!Scheduler.Reconfig} decisions accepted *)
-  naive_swaps : int;  (** unfenced membership swaps ([naive] mode) *)
-}
-
-val reconfig : unit -> reconfig
-
-val reset_reconfig : unit -> unit
-
-(** Bump API used by [Psnap_net.Net_reconfig]. *)
-
-val note_reconfig : unit -> unit
-
-val note_seal : unit -> unit
-
-val note_transfer : registers:int -> unit
-
-val note_activation : unit -> unit
-
-val note_stale_reject : unit -> unit
-
-val note_epoch_chase : unit -> unit
-
-val note_suspicion : unit -> unit
-
-val note_replacement : unit -> unit
-
-val note_churn_request : unit -> unit
-
-val note_naive_swap : unit -> unit
-
-val pp_reconfig : Format.formatter -> reconfig -> unit
-
-(** {2 Transaction counters}
-
-    Global counters bumped by the [Psnap_txn] MVCC layer (docs/MODEL.md
-    §15): begins, read-only and read-write commits, the three abort
-    classes (first-committer-wins conflicts, bounded commit-descriptor
-    acquisition giving up, voluntary aborts), the overwrites the unsound
-    last-writer-wins mode performed where validation would have refused,
-    crash-restart descriptor resumes, and versions discarded by watermark
-    pruning.  Same discipline as the serving counters: plain references —
-    exact under the cooperative simulator, approximate under the
-    multi-domain loadgen. *)
-
-type txn = {
-  begins : int;  (** transactions begun *)
-  ro_commits : int;  (** read-only commits (never validated, never abort) *)
-  rw_commits : int;  (** read-write commits published *)
-  conflicts : int;  (** first-committer-wins validation aborts *)
-  busy_aborts : int;  (** commit-descriptor acquisition exhausted *)
-  voluntary_aborts : int;  (** explicit [abort] calls *)
-  lww_overwrites : int;
-      (** unsound-mode commits that overwrote a version invisible to their
-          snapshot (each is a lost-update risk) *)
-  resumes : int;  (** dead incarnations' descriptors completed/released *)
-  pruned_versions : int;  (** versions discarded below the watermark *)
-}
-
-val txn : unit -> txn
-
-val reset_txn : unit -> unit
-
-(** Bump API used by [Psnap_txn]. *)
-
-val note_txn_begin : unit -> unit
-
-val note_txn_ro_commit : unit -> unit
-
-val note_txn_rw_commit : unit -> unit
-
-val note_txn_conflict : unit -> unit
-
-val note_txn_busy : unit -> unit
-
-val note_txn_voluntary_abort : unit -> unit
-
-val note_txn_lww_overwrite : unit -> unit
-
-val note_txn_resume : unit -> unit
-
-val note_txn_pruned : int -> unit
-
-(** Total aborts (conflict + busy + voluntary). *)
-val txn_aborts : txn -> int
-
-(** Aborted fraction of read-write commit attempts. *)
-val txn_abort_rate : txn -> float
-
-val pp_txn : Format.formatter -> txn -> unit
 
 (** {2 Memory faults}
 

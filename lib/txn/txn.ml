@@ -202,7 +202,7 @@ struct
             if qtx >= 0 then Some qtx else None)
         members
     in
-    Metrics.note_txn_begin ();
+    Metrics.(incr Txn.begins);
     { h; txid; bts = !b; excluded; writes = []; reads = []; outcome = `Live }
 
   (* ---- reads ---- *)
@@ -274,7 +274,7 @@ struct
         if ver.cts > watermark then ver :: go kept_below rest
         else if kept_below <= n then ver :: go (kept_below + 1) rest
         else begin
-          Metrics.note_txn_pruned (1 + List.length rest);
+          Metrics.(add Txn.pruned_versions (1 + List.length rest));
           []
         end
     in
@@ -311,8 +311,8 @@ struct
     clear_slot txn.h;
     txn.outcome <- `Aborted;
     (match reason with
-    | Conflict _ -> Metrics.note_txn_conflict ()
-    | Busy -> Metrics.note_txn_busy ());
+    | Conflict _ -> Metrics.(incr Txn.conflicts)
+    | Busy -> Metrics.(incr Txn.busy_aborts));
     Error reason
 
   let commit txn =
@@ -323,7 +323,7 @@ struct
       (* Read-only: the partial scans already were the transaction. *)
       clear_slot txn.h;
       txn.outcome <- `Committed None;
-      Metrics.note_txn_ro_commit ();
+      Metrics.(incr Txn.ro_commits);
       Ok txn.bts
     | writes -> (
       (* Join the in-flight list before drawing the commit timestamp:
@@ -374,7 +374,7 @@ struct
                 match chain with
                 | { cts; vtxid; _ } :: _
                   when cts > txn.bts || List.mem vtxid txn.excluded ->
-                  Metrics.note_txn_lww_overwrite ()
+                  Metrics.(incr Txn.lww_overwrites)
                 | _ -> ())
               chains
           end;
@@ -394,7 +394,7 @@ struct
              crash landing earlier leaves them excluded (slot + active set)
              until a [resume] — which reports the commit itself. *)
           txn.outcome <- `Committed (Some cts);
-          Metrics.note_txn_rw_commit ();
+          Metrics.(incr Txn.rw_commits);
           let held = M.read t.lock in
           ignore (M.cas t.lock ~expected:held ~desired:Free);
           A.leave txn.h.ah;
@@ -405,7 +405,7 @@ struct
     check_live txn "abort";
     clear_slot txn.h;
     txn.outcome <- `Aborted;
-    Metrics.note_txn_voluntary_abort ()
+    Metrics.(incr Txn.voluntary_aborts)
 
   (* ---- crash-restart recovery ---- *)
 
@@ -453,7 +453,7 @@ struct
         | Held d' when d'.dpid = h.pid ->
           ignore (M.cas t.lock ~expected:held ~desired:Free)
         | _ -> ());
-        Metrics.note_txn_resume ();
+        Metrics.(incr Txn.resumes);
         obs
       | _ -> None
     in

@@ -127,6 +127,23 @@ let test_resilient_replays () =
     (json_int json "runs");
   Sys.remove json
 
+(* The shrinker replays the failing schedule, faults included; the
+   campaign's fault count must not include those replays. *)
+let test_shrink_keeps_fault_count () =
+  let injected shrink =
+    let json = Filename.temp_file "mem-faults" ".json" in
+    check_int "exit status" 0
+      (simulate
+         ("--impl fig3 --mem-faults corrupt --mem-rate 0.05 --mem-max 12 \
+           --check --expect-violations --seed 0 --seeds 2 --json " ^ json
+         ^ shrink));
+    let n = json_int json "mem_faults_injected" in
+    Sys.remove json;
+    n
+  in
+  check_int "mem_faults_injected with and without --shrink" (injected "")
+    (injected " --shrink")
+
 let test_bad_flag_is_usage () =
   check_int "unknown scheduler" 2 (simulate "--sched nope --seeds 1");
   check_int "r > m" 2 (simulate "--impl txn -m 2 -r 4 --seeds 1")
@@ -141,6 +158,8 @@ let () =
             test_resilient_expect_violations;
           Alcotest.test_case "resilient honours --replay-file" `Quick
             test_resilient_replays;
+          Alcotest.test_case "--shrink keeps the campaign's fault count"
+            `Quick test_shrink_keeps_fault_count;
           Alcotest.test_case "bad flag values exit 2" `Quick
             test_bad_flag_is_usage;
         ] );

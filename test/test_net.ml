@@ -26,7 +26,7 @@ let check_int = Alcotest.(check int)
    single-writer register must show the reader a non-decreasing sequence. *)
 let monotone_workload ?(mode = A.Abd) ?(writes = 10) ?(reads = 20)
     ?(record_trace = false) ?(with_recover = false) ~replicas ~sched () =
-  Metrics.reset_net ();
+  Metrics.(reset Net.group);
   Sim.reset_prerun_oids ();
   let cl = A.cluster ~mode ~clients:2 ~replicas () in
   let r = NM.make ~name:"x" 0 in
@@ -88,11 +88,10 @@ let test_dup_flood_idempotent () =
     check_int "no faults beyond duplication: nothing gives up" 0 gave_up;
     check_bool "reads monotone under duplicate delivery" true
       (is_monotone observed);
-    let n = Metrics.net () in
-    if n.Metrics.dups > 0 then begin
+    if Metrics.(get Net.net_dups) > 0 then begin
       hit := true;
       check_bool "duplicates really delivered" true
-        (n.Metrics.delivers > n.Metrics.sends - n.Metrics.drops)
+        Metrics.(get Net.delivers > get Net.sends - get Net.net_drops)
     end
   done;
   check_bool "campaign injected duplicates" true !hit
@@ -117,9 +116,9 @@ let test_partition_heal_convergence () =
     check_int "majority stays reachable: nothing gives up" 0 gave_up;
     check_bool "reads monotone across cut and heal" true
       (is_monotone observed);
-    let n = Metrics.net () in
-    check_bool "the window actually cut links" true (n.Metrics.cuts > 0);
-    check_bool "and healed them" true (n.Metrics.heals > 0)
+    check_bool "the window actually cut links" true
+      (Metrics.(get Net.net_cuts) > 0);
+    check_bool "and healed them" true (Metrics.(get Net.net_heals) > 0)
   done
 
 let test_quorum_loss_unavailable_not_hang () =
@@ -127,8 +126,7 @@ let test_quorum_loss_unavailable_not_hang () =
      phase must exhaust its bounded attempts and surface [Unavailable]
     (the run terminating at all is the no-livelock claim), and the
      repeated failures must trip the client's circuit breaker. *)
-  Metrics.reset_net ();
-  Metrics.reset_serving ();
+  List.iter Metrics.reset Metrics.[ Net.group; Serving.group ];
   Sim.reset_prerun_oids ();
   let clients = 1 and replicas = 3 in
   let cl = A.cluster ~clients ~replicas () in
@@ -156,10 +154,9 @@ let test_quorum_loss_unavailable_not_hang () =
   in
   let _ = Sim.run ~sched procs in
   check_int "all three writes gave up" 3 !gave_up;
-  let n = Metrics.net () in
-  check_bool "unavailability counted" true (n.Metrics.unavailable >= 3);
-  let sv = Metrics.serving () in
-  check_bool "breaker opened" true (sv.Metrics.breaker_opens >= 1)
+  check_bool "unavailability counted" true
+    (Metrics.(get Net.unavailable) >= 3);
+  check_bool "breaker opened" true (Metrics.(get Serving.breaker_opens) >= 1)
 
 let trace_signature (res : Sim.result) =
   List.map
@@ -279,7 +276,7 @@ let test_lincheck_under_partition_storm () =
   let pending_total = ref 0 in
   let cut_total = ref 0 in
   for seed = 0 to 9 do
-    Metrics.reset_net ();
+    Metrics.(reset Net.group);
     Sim.reset_prerun_oids ();
     let sched =
       Scheduler.partition_storm ~seed
@@ -319,7 +316,7 @@ let test_lincheck_under_partition_storm () =
     pending_total :=
       !pending_total
       + List.length (List.filter History.is_pending entries);
-    cut_total := !cut_total + (Metrics.net ()).Metrics.cuts;
+    cut_total := !cut_total + Metrics.(get Net.net_cuts);
     check_bool
       (Printf.sprintf "seed %d: stormed ABD history linearizable" seed)
       true

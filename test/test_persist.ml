@@ -182,7 +182,7 @@ let run_workload ?(config = D.default_config) ~sched () =
   (x.Campaign.result, x.Campaign.violations)
 
 let test_mini_power_loss_sweep () =
-  Psnap_sched.Metrics.reset_durable ();
+  Metrics.(reset Durable.group);
   let base seed = Scheduler.random ~seed () in
   (* one clean baseline to learn the schedule length, then a blackout at
      every schedule point — the simulate campaign's sweep in miniature *)
@@ -195,12 +195,11 @@ let test_mini_power_loss_sweep () =
       Alcotest.failf "power loss at clock %d: %d violations" c
         (List.length viols)
   done;
-  let dm = Psnap_sched.Metrics.durable () in
-  check_bool "blackouts fired" true (dm.Psnap_sched.Metrics.power_losses > 0);
-  check_bool "recoveries ran" true (dm.Psnap_sched.Metrics.recoveries > 0)
+  check_bool "blackouts fired" true (Metrics.(get Durable.power_losses) > 0);
+  check_bool "recoveries ran" true (Metrics.(get Durable.recoveries) > 0)
 
 let test_storm_with_checkpoints () =
-  Psnap_sched.Metrics.reset_durable ();
+  Metrics.(reset Durable.group);
   let config = { D.default_config with D.checkpoint_every = 2 } in
   for seed = 0 to 19 do
     let sched =
@@ -210,23 +209,20 @@ let test_storm_with_checkpoints () =
     if viols <> [] then
       Alcotest.failf "seed %d: %d violations" seed (List.length viols)
   done;
-  let dm = Psnap_sched.Metrics.durable () in
-  check_bool "checkpoints sealed" true
-    (dm.Psnap_sched.Metrics.checkpoints > 0);
-  check_bool "recoveries ran" true (dm.Psnap_sched.Metrics.recoveries > 0)
+  check_bool "checkpoints sealed" true (Metrics.(get Durable.checkpoints) > 0);
+  check_bool "recoveries ran" true (Metrics.(get Durable.recoveries) > 0)
 
 let test_plain_crash_resumes_intent () =
   (* a crash–restart without any power loss: the object survives in
      memory, so recovery must resume the published intent, never rebuild *)
-  Psnap_sched.Metrics.reset_durable ();
+  Metrics.(reset Durable.group);
   for seed = 0 to 19 do
     let sched = Scheduler.crash_storm ~seed (Scheduler.random ~seed ()) in
     let _, viols = run_workload ~sched () in
     if viols <> [] then
       Alcotest.failf "seed %d: %d violations" seed (List.length viols)
   done;
-  let dm = Psnap_sched.Metrics.durable () in
-  check_int "no blackout, no rebuild" 0 dm.Psnap_sched.Metrics.recoveries
+  check_int "no blackout, no rebuild" 0 Metrics.(get Durable.recoveries)
 
 (* ---- E18: the committed ddmin-shrunk witness ---- *)
 

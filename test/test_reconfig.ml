@@ -27,12 +27,11 @@ let run_workload ~mode ~updaters ~updates ~scanners ~scans ~replicas ~spares
       { Scenario.m = 1; r = 1; updaters; updates; scanners; scans }
       ~check:true
   in
-  sc.Scenario.reset ();
+  List.iter Metrics.reset sc.Scenario.groups;
   let x = Campaign.execute sc ~sched in
-  let stat k =
-    int_of_string (List.assoc k (sc.Scenario.report ()).Scenario.fields)
-  in
-  (x.Campaign.violations, stat "reconfigs", stat "max_epoch")
+  let fields = (sc.Scenario.report ()).Scenario.fields in
+  let max_epoch = int_of_string (List.assoc "max_epoch" fields) in
+  (x.Campaign.violations, Metrics.(get Reconfig.reconfigs), max_epoch)
 
 let member_pids ~clients ~replicas = List.init replicas (fun i -> clients + i)
 
@@ -80,9 +79,8 @@ let test_replica_death_replacement () =
         ~replicas ~spares:2 ~sched ()
     in
     check_bool "death + replacement: no violations" true (viols = []);
-    let rm = Metrics.reconfig () in
-    suspicions := !suspicions + rm.Metrics.suspicions;
-    replacements := !replacements + rm.Metrics.replacements;
+    suspicions := !suspicions + Metrics.(get Reconfig.suspicions);
+    replacements := !replacements + Metrics.(get Reconfig.replacements);
     completed := !completed + reconfigs
   done;
   check_bool "probes suspected the dead member" true (!suspicions > 0);
@@ -106,10 +104,10 @@ let test_naive_skips_protocol () =
       run_workload ~mode:R.Naive ~updaters:2 ~updates:8 ~scanners:2 ~scans:8
         ~replicas:3 ~spares:2 ~sched ()
     in
-    let rm = Metrics.reconfig () in
-    swaps := !swaps + rm.Metrics.naive_swaps;
-    check_int "naive mode never seals" 0 rm.Metrics.seals;
-    check_int "naive replicas never fence" 0 rm.Metrics.stale_rejects
+    swaps := !swaps + Metrics.(get Reconfig.naive_swaps);
+    check_int "naive mode never seals" 0 Metrics.(get Reconfig.seals);
+    check_int "naive replicas never fence" 0
+      Metrics.(get Reconfig.stale_rejects)
   done;
   check_bool "churn really swapped memberships" true (!swaps >= 1)
 

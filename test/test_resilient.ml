@@ -22,7 +22,7 @@ let reset () =
   Sim.reset_prerun_oids ();
   M.reset_fault_counts ();
   Mem.Hardened.reset_stats ();
-  Metrics.reset_serving ()
+  Metrics.(reset Serving.group)
 
 (* ---- sequential semantics ---- *)
 
@@ -46,7 +46,7 @@ let test_roundtrip () =
     | RS.Degraded _ -> Alcotest.fail "solo scan degraded"
   in
   ignore (Sim.run ~sched:(rr ()) [| body |]);
-  check_int "no degraded scans" 0 (Metrics.serving ()).Metrics.degraded_scans
+  check_int "no degraded scans" 0 Metrics.(get Serving.degraded_scans)
 
 (* ---- deadline: budget exhaustion degrades explicitly ---- *)
 
@@ -93,7 +93,7 @@ let test_budget_exhaustion_degrades () =
     check_bool "epochs in the report are real" true
       (List.for_all (fun (i, e) -> i >= 0 && i < 2 && e > 0) failed);
     check_int "metrics counted it" 1
-      (Metrics.serving ()).Metrics.degraded_scans
+      Metrics.(get Serving.degraded_scans)
   | Some (RS_tight.Atomic _, _) ->
     Alcotest.fail "scan validated despite a continuous updater and budget 2"
   | None -> Alcotest.fail "scanner never ran"
@@ -145,11 +145,11 @@ let test_breaker_lifecycle () =
     done
   in
   ignore (Sim.run ~sched:(rr ()) [| updater; scanner |]);
-  let sv = Metrics.serving () in
-  check_bool "a circuit opened" true (sv.Metrics.breaker_opens >= 1);
+  check_bool "a circuit opened" true (Metrics.(get Serving.breaker_opens) >= 1);
   check_bool "it half-opened after the cooldown" true
-    (sv.Metrics.breaker_half_opens >= 1);
-  check_bool "a probe re-closed it" true (sv.Metrics.breaker_closes >= 1);
+    (Metrics.(get Serving.breaker_half_opens) >= 1);
+  check_bool "a probe re-closed it" true
+    (Metrics.(get Serving.breaker_closes) >= 1);
   check_bool "observed an Open state" true
     (List.exists (fun (a, b) -> a = RS_breaker.Open || b = RS_breaker.Open)
        !states);
@@ -205,10 +205,9 @@ let test_heal_preserves_values () =
     | RS.Degraded _ -> Alcotest.fail "post-heal scan degraded"
   in
   ignore (Sim.run ~sched:(rr ()) [| body |]);
-  let sv = Metrics.serving () in
-  check_int "one heal started" 1 sv.Metrics.heals_started;
-  check_int "one heal completed" 1 sv.Metrics.heals_completed;
-  check_int "none aborted" 0 sv.Metrics.heals_aborted
+  check_int "one heal started" 1 Metrics.(get Serving.heals_started);
+  check_int "one heal completed" 1 Metrics.(get Serving.heals_completed);
+  check_int "none aborted" 0 Metrics.(get Serving.heals_aborted)
 
 (* A stuck epoch cell: updates keep completing (nonces keep tags unique),
    the duplicate draw is detected, the shard is rebuilt with a fresh epoch
@@ -238,9 +237,9 @@ let test_stuck_epoch_triggers_heal () =
          (Scheduler.mem_fault_on_cell ~kind:Event.Stuck_cell
             ~name_prefix:"rshard0.epoch" (rr ()))
        [| updater; scanner |]);
-  let sv = Metrics.serving () in
-  check_bool "duplicate epoch detected" true (sv.Metrics.stuck_epochs >= 1);
-  check_bool "heal completed" true (sv.Metrics.heals_completed >= 1);
+  check_bool "duplicate epoch detected" true
+    (Metrics.(get Serving.stuck_epochs) >= 1);
+  check_bool "heal completed" true (Metrics.(get Serving.heals_completed) >= 1);
   check_bool "validated scans of the rebuilt shard" true
     (!post_heal_atomic >= 1)
 
@@ -325,10 +324,9 @@ let test_chaos_linearizable () =
 
 let test_chaos_with_stuck_epochs () =
   let _, _ = chaos_campaign ~seeds:12 ~stick:true in
-  let sv = Metrics.serving () in
-  check_bool "stuck epochs seen" true (sv.Metrics.stuck_epochs >= 1);
+  check_bool "stuck epochs seen" true (Metrics.(get Serving.stuck_epochs) >= 1);
   check_bool "at least one rebuild completed across the campaign" true
-    (sv.Metrics.heals_completed >= 1)
+    (Metrics.(get Serving.heals_completed) >= 1)
 
 (* ---- the Snap face drives the multicore load generator ---- *)
 
@@ -347,7 +345,7 @@ module RS_mc =
     end)
 
 let test_snap_loadgen_smoke () =
-  Metrics.reset_serving ();
+  Metrics.(reset Serving.group);
   let rep =
     Psnap.Runtime.Loadgen.run
       (module RS_mc.Snap)

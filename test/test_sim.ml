@@ -419,6 +419,43 @@ let test_metrics_sequential_no_overlap () =
   check_int "sequential ops do not overlap" 1
     (Metrics.max_interval_contention (Metrics.samples rec_))
 
+(* ---- the counter registry ---- *)
+
+(* Counters are atomic: bumps racing in from several domains are all
+   counted. *)
+let test_counter_exact_across_domains () =
+  let c = Metrics.Txn.begins and domains = 4 and n = 1_000_000 and k = 3 in
+  Metrics.(reset Txn.group);
+  let bump () =
+    for i = 1 to n do
+      Metrics.incr c;
+      if i mod 100 = 0 then Metrics.add c k
+    done
+  in
+  List.iter Domain.join (List.init domains (fun _ -> Domain.spawn bump));
+  check_int "no bump lost" (domains * (n + (n / 100 * k))) (Metrics.get c)
+
+let test_counter_groups () =
+  let groups =
+    Metrics.
+      [ Serving.group; Durable.group; Net.group; Reconfig.group; Txn.group ]
+  in
+  let names =
+    List.concat_map (fun g -> List.map fst (Metrics.read g).Metrics.values)
+      groups
+  in
+  check_int "names are unique JSON keys" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  check_bool "every counter has help" true
+    (List.for_all
+       (fun c -> Metrics.help c <> "")
+       (List.concat_map Metrics.counters groups));
+  Metrics.(reset Txn.group; reset Net.group);
+  Metrics.(incr Txn.begins; add Net.sends 5);
+  Metrics.(reset Txn.group);
+  check_int "reset zeroes its group" 0 Metrics.(get Txn.begins);
+  check_int "and leaves the others alone" 5 Metrics.(get Net.sends)
+
 let () =
   Alcotest.run "sim"
     [
@@ -483,5 +520,8 @@ let () =
           Alcotest.test_case "contention" `Quick test_metrics_contention;
           Alcotest.test_case "no overlap" `Quick
             test_metrics_sequential_no_overlap;
+          Alcotest.test_case "counters exact across domains" `Quick
+            test_counter_exact_across_domains;
+          Alcotest.test_case "counter groups" `Quick test_counter_groups;
         ] );
     ]

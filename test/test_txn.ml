@@ -202,7 +202,7 @@ let test_fcw_chaos_si_clean () =
   (* crash–restart chaos over 20 seeds: every execution must pass the SI
      oracle, and the campaign must actually exercise crashes and at least
      one descriptor roll-forward across all seeds *)
-  Metrics.reset_txn ();
+  Metrics.(reset Txn.group);
   let crashes = ref 0 in
   for seed = 0 to 19 do
     let sched =
@@ -218,8 +218,8 @@ let test_fcw_chaos_si_clean () =
         (List.length viols)
   done;
   check_bool "chaos campaign crashed processes" true (!crashes > 0);
-  let tm = Metrics.txn () in
-  check_bool "campaign committed transactions" true (tm.Metrics.rw_commits > 0)
+  check_bool "campaign committed transactions" true
+    (Metrics.(get Txn.rw_commits) > 0)
 
 let test_starved_committer_bounded_abort () =
   (* starving the scanners turns writers loose on each other; conflicts
