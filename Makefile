@@ -128,7 +128,7 @@ chaos-runtime:
 # under power-loss fault injection.  The sweep injects a blackout at
 # every schedule point and every execution must recover to a durably
 # linearizable state; the storm composes seeded blackouts with crash
-# storms and checkpoints; the late-log run demonstrates the oracle
+# storms and checkpoints, and fails if it seals none; the late-log run demonstrates the oracle
 # actually catches committed-then-lost recovery bugs (its shrunk witness
 # lands in _artifacts/; the committed reference witness lives in
 # schedules/); the loadgen run prices the WAL against plain fig3.
@@ -143,6 +143,9 @@ chaos-durable:
 	  --nemesis storm --checkpoint-every 4 \
 	  --seed $(SEED) --seeds 20 \
 	  --json $(ARTIFACTS)/chaos-durable-storm-$(SEED).json
+	python3 -c "import json, sys; \
+	  n = json.load(open('$(ARTIFACTS)/chaos-durable-storm-$(SEED).json'))['checkpoints']; \
+	  sys.exit('storm run sealed no checkpoint' if n == 0 else 0)"
 	dune exec bin/simulate.exe -- --impl durable -m 4 -r 4 --updaters 1 \
 	  --updates 3 --scanners 2 --scans 6 --power-loss sweep \
 	  --wal-mode late-log --expect-violations --shrink \

@@ -2,14 +2,14 @@
 
    A checkpoint batches everything committed so far into one sealed,
    atomically-recoverable unit: holding the commit lock (so no update can
-   be mid-apply and the lsn horizon is frozen), the committer captures a
-   consistent full view with a regular [scan] — the same seal → quiesce →
-   final sub-scan shape as the resilient layer's shard heal, with the
-   quiescence provided by the lock instead of inflight tokens — and writes
-   a [Checkpoint_begin gen; Scan_seal gen; Checkpoint_end gen] triple,
-   then a sync.  Recovery only ever trusts a complete triple, so a
-   power loss anywhere inside the window leaves the previous checkpoint
-   authoritative and the new one invisible (begin-without-end).
+   be mid-apply and the lsn horizon is frozen), the committer marshals
+   the committed array the lock guards — under the lock it is exactly the
+   state of every lsn below the horizon, so no scan of the inner object
+   is needed — and writes a [Checkpoint_begin gen; Scan_seal gen;
+   Checkpoint_end gen] triple, then a sync: O(1) steps.  Recovery only
+   ever trusts a complete triple, so a power loss anywhere inside the
+   window leaves the previous checkpoint authoritative and the new one
+   invisible (begin-without-end).
 
    A power loss between the first append and the sync can silently eat
    part of the triple from the device's write cache; the barrier would

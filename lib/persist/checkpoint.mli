@@ -2,10 +2,10 @@
     committed updates into one sealed begin/seal/end triple that recovery
     applies atomically — it only ever trusts a {e complete} triple, so a
     power loss inside the write window leaves the previous checkpoint
-    authoritative.  The caller must hold the commit lock: the lock is what
-    freezes the lsn horizon and quiesces in-flight applies while the view
-    is captured (the resilient layer's seal → quiesce → final-scan shape,
-    with the lock as the quiescence mechanism). *)
+    authoritative.  The caller must hold the commit lock: the lock freezes
+    the lsn horizon, and the view sealed is the committed array the lock
+    guards (see [Durable]), not a scan of the inner object.  A checkpoint is
+    O(1) steps: three appends and one sync. *)
 
 module Make (St : Storage.S) : sig
   val write : St.t -> gen:int -> next_lsn:int -> payload:string -> unit

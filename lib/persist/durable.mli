@@ -46,11 +46,12 @@ module Make
       itself uses [default_config] and a fresh device named ["wal"]). *)
 
   val recover : ?config:config -> St.t -> n:int -> 'a array -> 'a t
-  (** Rebuild from a device: repair the damaged tail, land on the last
-      sealed checkpoint plus the replayed update suffix, restart lsns
-      above everything the log mentions.  Step-free under the simulator
-      (log reads and [Inner.create] cost no steps), so the first fiber to
-      recover after a blackout completes the rebuild atomically. *)
+  (** Rebuild from a device in one fold over its log: repair the damaged
+      tail, land on the last sealed checkpoint plus the replayed update
+      suffix, restart lsns above everything the log mentions.  Step-free
+      under the simulator (log reads and [Inner.create] cost no steps),
+      so the first fiber to recover after a blackout completes the
+      rebuild atomically. *)
 
   val resume : 'a handle -> unit
   (** Complete this pid's published intent, if the commit lock holds one
@@ -59,7 +60,9 @@ module Make
       is nothing to resume (the lock died with the volatile memory). *)
 
   val checkpoint_now : 'a handle -> unit
-  (** Force a sealed checkpoint, serialized through the commit lock. *)
+  (** Force a sealed checkpoint, serialized through the commit lock.  It
+      seals the committed values the lock guards (no scan of [Inner]),
+      so it costs the triple's three appends and one sync. *)
 
   val storage : 'a t -> St.t
 

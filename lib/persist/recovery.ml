@@ -9,8 +9,12 @@
    recovery may produce (an intent completed twice appends the same lsn
    twice — adjacent, applied once).
 
-   Replay is pure: damage repair happens in [Wal.Make.read_all ~repair]
-   before the record list reaches [replay]. *)
+   Recovery is one forward fold over the log's frames ([Wal.fold]), with
+   no record list: each update is applied under the lsn filter as it is
+   decoded, and each complete triple resets the base to its sealed view,
+   discarding what was applied before it.  The triple that is last when
+   the fold ends is therefore the one recovered from.  Damage repair
+   happens in the same pass ([Wal.Make.fold ~repair]). *)
 
 type 'a state = {
   values : 'a array;  (** recovered component values *)
@@ -19,71 +23,75 @@ type 'a state = {
   checkpoint_gen : int;  (** generation recovered from; 0 = none *)
 }
 
-let replay ~init records =
-  let recs = Array.of_list records in
-  let n = Array.length recs in
-  (* The last complete begin/seal/end triple: walk once recording where
-     each generation's begin and seal appeared, then keep the last end
-     whose generation has both, earlier. *)
-  let begins = Hashtbl.create 4 and seals = Hashtbl.create 4 in
-  let chosen = ref None in
-  Array.iteri
-    (fun at r ->
-      match r with
-      | Wal.Checkpoint_begin { gen; next_lsn } ->
-        Hashtbl.replace begins gen (at, next_lsn)
-      | Wal.Scan_seal { gen; payload } -> Hashtbl.replace seals gen (at, payload)
-      | Wal.Checkpoint_end { gen } -> (
-        match (Hashtbl.find_opt begins gen, Hashtbl.find_opt seals gen) with
-        | Some (b, next_lsn), Some (s, payload) when b < at && s < at ->
-          chosen := Some (at, gen, next_lsn, payload)
-        | _ -> ())
-      | Wal.Update _ -> ())
-    recs;
-  let base, start, last_lsn0, gen =
-    match !chosen with
-    | Some (at, gen, next_lsn, payload) ->
-      ((Marshal.from_string payload 0 : _ array), at + 1, next_lsn - 1, gen)
-    | None -> (Array.copy init, 0, 0, 0)
-  in
-  let values = Array.copy base in
-  let last_lsn = ref last_lsn0 in
-  let replayed = ref 0 in
-  for at = start to n - 1 do
-    match recs.(at) with
-    | Wal.Update { lsn; index; payload; _ } when lsn > !last_lsn ->
-      values.(index) <- Marshal.from_string payload 0;
-      last_lsn := lsn;
-      incr replayed
-    | _ -> ()
-  done;
-  (* A crashed-but-logged commit beyond the checkpoint window still bumps
-     the lsn horizon even if it was filtered above; the horizon is the max
-     over everything the log mentions, so re-drawn lsns never collide. *)
-  Array.iter
-    (fun r ->
-      match r with
-      | Wal.Update { lsn; _ } -> if lsn > !last_lsn then last_lsn := lsn
-      | Wal.Checkpoint_begin { next_lsn; _ } ->
-        if next_lsn - 1 > !last_lsn then last_lsn := next_lsn - 1
-      | _ -> ())
-    recs;
+(* The fold's accumulator.  [begins] and [seals] hold each generation's
+   last begin and seal so far: a generation number reused after a
+   truncation pairs with its latest records. *)
+type 'a replay = {
+  begins : (int, int) Hashtbl.t;  (** gen -> next_lsn *)
+  seals : (int, string) Hashtbl.t;  (** gen -> sealed view *)
+  mutable values : 'a array;
+  mutable applied_lsn : int;  (** the lsn filter: last lsn applied *)
+  mutable replayed : int;
+  mutable gen : int;
+  mutable horizon : int;  (** the largest lsn the log mentions *)
+}
+
+let start ~init =
   {
-    values;
-    next_lsn = !last_lsn + 1;
-    replayed = !replayed;
-    checkpoint_gen = gen;
+    begins = Hashtbl.create 4;
+    seals = Hashtbl.create 4;
+    values = Array.copy init;
+    applied_lsn = 0;
+    replayed = 0;
+    gen = 0;
+    horizon = 0;
   }
 
-(* Device-level recovery: read, repair the tail, replay, account. *)
+let step acc (r : Wal.record) =
+  (match r with
+  | Update { lsn; index; payload; _ } ->
+    (* A crashed-but-logged commit filtered here still bumps the horizon,
+       so re-drawn lsns never collide. *)
+    acc.horizon <- max acc.horizon lsn;
+    if lsn > acc.applied_lsn then begin
+      acc.values.(index) <- Marshal.from_string payload 0;
+      acc.applied_lsn <- lsn;
+      acc.replayed <- acc.replayed + 1
+    end
+  | Checkpoint_begin { gen; next_lsn } ->
+    Hashtbl.replace acc.begins gen next_lsn;
+    acc.horizon <- max acc.horizon (next_lsn - 1)
+  | Scan_seal { gen; payload } -> Hashtbl.replace acc.seals gen payload
+  | Checkpoint_end { gen } -> (
+    match (Hashtbl.find_opt acc.begins gen, Hashtbl.find_opt acc.seals gen) with
+    | Some next_lsn, Some payload ->
+      acc.values <- Marshal.from_string payload 0;
+      acc.applied_lsn <- next_lsn - 1;
+      acc.replayed <- 0;
+      acc.gen <- gen
+    | _ -> ()));
+  acc
+
+let finish acc =
+  {
+    values = acc.values;
+    next_lsn = max acc.applied_lsn acc.horizon + 1;
+    replayed = acc.replayed;
+    checkpoint_gen = acc.gen;
+  }
+
+let replay ~init records = finish (List.fold_left step (start ~init) records)
+
+(* Device-level recovery: read, repair the tail and replay in one fold,
+   then account. *)
 module Metrics = Psnap_sched.Metrics
 
 module Make (St : Storage.S) = struct
   module W = Wal.Make (St)
 
   let load ?(repair = true) dev ~init =
-    let d = W.read_all ~repair dev in
-    let st = replay ~init d.Wal.records in
+    let d = W.fold ~repair dev step (start ~init) in
+    let st = finish d.Wal.acc in
     Metrics.incr Metrics.Durable.recoveries;
     Metrics.add Metrics.Durable.replayed_updates st.replayed;
     (st, d.Wal.damage)

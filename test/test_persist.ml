@@ -1,13 +1,15 @@
 (* Tests of the durability layer (lib/persist): WAL framing edge cases
-   (empty log, torn tail, checksum corruption mid-log, checkpoint-begin
+   (golden frame bytes, empty log, torn tail, checksum corruption
+   mid-log, a checksummed body with a trailing byte, checkpoint-begin
    without end, duplicate-lsn dedup, double-recovery idempotence), the
-   checkpoint triple, and the durable snapshot under simulated power
-   losses — a mini exhaustive sweep (a blackout at every schedule point
-   must recover to a durably-linearizable state), plain crash–restart
-   intent resumption, checkpointed recovery, and the committed E18
-   witness schedule, which must drive the deliberately unsound late-log
-   mode to a committed-then-lost violation while leaving the sound
-   write-ahead mode clean. *)
+   one-pass replay against the two-walk reference on random logs, what a
+   checkpoint seals, the checkpoint triple, and the durable snapshot
+   under simulated power losses — a mini exhaustive sweep (a blackout at
+   every schedule point must recover to a durably-linearizable state),
+   plain crash–restart intent resumption, checkpointed recovery, and the
+   committed E18 witness schedule, which must drive the deliberately
+   unsound late-log mode to a committed-then-lost violation while
+   leaving the sound write-ahead mode clean. *)
 
 open Psnap
 open Psnap_harness
@@ -123,6 +125,135 @@ let test_duplicate_lsn_dedup () =
   check_int "duplicate applied once" 2 st.Recovery.replayed;
   check_int "next lsn" 3 st.Recovery.next_lsn
 
+(* ---- replay equivalence ----
+
+   The two-walk replay recovery used before it became one fold: find the
+   last complete triple, then replay the suffix after it, then raise the
+   lsn horizon over the whole log.  Kept here only as the reference the
+   fold must agree with. *)
+let reference_replay ~init records =
+  let recs = Array.of_list records in
+  let n = Array.length recs in
+  let begins = Hashtbl.create 4 and seals = Hashtbl.create 4 in
+  let chosen = ref None in
+  Array.iteri
+    (fun at r ->
+      match r with
+      | Wal.Checkpoint_begin { gen; next_lsn } ->
+        Hashtbl.replace begins gen (at, next_lsn)
+      | Wal.Scan_seal { gen; payload } -> Hashtbl.replace seals gen (at, payload)
+      | Wal.Checkpoint_end { gen } -> (
+        match (Hashtbl.find_opt begins gen, Hashtbl.find_opt seals gen) with
+        | Some (b, next_lsn), Some (s, payload) when b < at && s < at ->
+          chosen := Some (at, gen, next_lsn, payload)
+        | _ -> ())
+      | Wal.Update _ -> ())
+    recs;
+  let base, start, last_lsn0, gen =
+    match !chosen with
+    | Some (at, gen, next_lsn, payload) ->
+      ((Marshal.from_string payload 0 : _ array), at + 1, next_lsn - 1, gen)
+    | None -> (Array.copy init, 0, 0, 0)
+  in
+  let values = Array.copy base in
+  let last_lsn = ref last_lsn0 in
+  let replayed = ref 0 in
+  for at = start to n - 1 do
+    match recs.(at) with
+    | Wal.Update { lsn; index; payload; _ } when lsn > !last_lsn ->
+      values.(index) <- Marshal.from_string payload 0;
+      last_lsn := lsn;
+      incr replayed
+    | _ -> ()
+  done;
+  Array.iter
+    (fun r ->
+      match r with
+      | Wal.Update { lsn; _ } -> if lsn > !last_lsn then last_lsn := lsn
+      | Wal.Checkpoint_begin { next_lsn; _ } ->
+        if next_lsn - 1 > !last_lsn then last_lsn := next_lsn - 1
+      | _ -> ())
+    recs;
+  {
+    Recovery.values;
+    next_lsn = !last_lsn + 1;
+    replayed = !replayed;
+    checkpoint_gen = gen;
+  }
+
+(* A random log over [m] components: monotone, duplicate and stale lsns;
+   complete, partial and out-of-order triples; and truncations, after
+   which generation numbers are drawn again from below. *)
+let random_log ~m rng =
+  let int n = Random.State.int rng n in
+  let log = ref [] and lsn = ref 0 and gen = ref 0 in
+  let emit r = log := r :: !log in
+  let update lsn = emit (upd ~lsn ~index:(int m) (int 1000)) in
+  let seal gen =
+    let view = Array.init m (fun _ -> int 1000) in
+    Wal.Scan_seal { gen; payload = Marshal.to_string view [] }
+  in
+  for _ = 1 to int 40 do
+    match int 12 with
+    | 0 | 1 | 2 | 3 ->
+      incr lsn;
+      update !lsn
+    | 4 -> update !lsn
+    | 5 -> update (int (!lsn + 1))
+    | 6 | 7 ->
+      incr gen;
+      emit (Wal.Checkpoint_begin { gen = !gen; next_lsn = !lsn + 1 });
+      emit (seal !gen);
+      emit (Wal.Checkpoint_end { gen = !gen })
+    | 8 -> (
+      incr gen;
+      let b = Wal.Checkpoint_begin { gen = !gen; next_lsn = int (!lsn + 2) }
+      and e = Wal.Checkpoint_end { gen = !gen } in
+      List.iter emit
+        (match int 5 with
+        | 0 -> [ b ]
+        | 1 -> [ b; seal !gen ]
+        | 2 -> [ seal !gen; e ]
+        | 3 -> [ b; e ]
+        | _ -> [ seal !gen; b; e ]))
+    | 9 -> emit (Wal.Checkpoint_end { gen = 1 + int (!gen + 1) })
+    | _ ->
+      let cut = int (List.length !log + 1) in
+      log := List.filteri (fun i _ -> i >= cut) !log;
+      gen := int (!gen + 1)
+  done;
+  List.rev !log
+
+let test_replay_matches_reference () =
+  let m = 3 in
+  let init = [| -1; -2; -3 |] in
+  let triples = ref 0 and resets = ref 0 in
+  for seed = 0 to 999 do
+    let rng = Random.State.make [| seed |] in
+    let log = random_log ~m rng in
+    let want = reference_replay ~init log in
+    let same (got : int Recovery.state) =
+      got.Recovery.values = want.Recovery.values
+      && got.next_lsn = want.next_lsn
+      && got.replayed = want.replayed
+      && got.checkpoint_gen = want.checkpoint_gen
+    in
+    if not (same (Recovery.replay ~init log)) then
+      Alcotest.failf "seed %d: replay differs from the reference" seed;
+    St.reset ();
+    let dev = St.create ~name:"t" in
+    List.iter (WIO.append dev) log;
+    if not (same (fst (R.load dev ~init))) then
+      Alcotest.failf "seed %d: device recovery differs from the reference"
+        seed;
+    if want.checkpoint_gen > 0 then incr triples;
+    if want.checkpoint_gen > 0 && want.replayed = 0 then incr resets
+  done;
+  (* the generator reaches both recovery shapes often *)
+  check_bool "many logs recover from a triple" true (!triples > 300);
+  check_bool "many logs recover from init" true (!triples < 700);
+  check_bool "some triples end their log" true (!resets > 50)
+
 let test_checkpoint_roundtrip () =
   St.reset ();
   let dev = St.create ~name:"t" in
@@ -154,6 +285,61 @@ let test_double_recovery_idempotent () =
   check_int "same next lsn" st1.Recovery.next_lsn st2.Recovery.next_lsn;
   check_int "same replay count" st1.Recovery.replayed st2.Recovery.replayed
 
+(* The frame bytes are pinned: [encode] must produce exactly the
+   [Printf] framing, for every record kind and for a seal large enough to
+   need all eight hex digits' worth of headroom. *)
+let golden_frame r =
+  let body = Marshal.to_string r [] in
+  Printf.sprintf "%08x %08x %s" (String.length body) (Wal.checksum body) body
+
+let test_golden_frames () =
+  let big_view = Marshal.to_string (Array.init 65_536 (fun i -> i * 7919)) [] in
+  check_bool "the big seal is at least 300 KB" true
+    (String.length big_view >= 300_000);
+  let records =
+    [
+      Wal.Update { lsn = 7; pid = 2; index = 3; payload = pay 42 };
+      Wal.Update { lsn = 0x1234_5678; pid = 0; index = 0; payload = "" };
+      Wal.Scan_seal { gen = 1; payload = Marshal.to_string [| 1; 2 |] [] };
+      Wal.Scan_seal { gen = 2; payload = big_view };
+      Wal.Checkpoint_begin { gen = 3; next_lsn = 99 };
+      Wal.Checkpoint_end { gen = 3 };
+    ]
+  in
+  List.iter
+    (fun r ->
+      if Wal.encode r <> golden_frame r then
+        Alcotest.failf "frame of %a differs from the printf framing"
+          Wal.pp_record r)
+    records;
+  let d = Wal.decode_all (String.concat "" (List.map Wal.encode records)) in
+  check_bool "clean" true (d.Wal.damage = Wal.Clean);
+  check_bool "records decode back" true (d.Wal.records = records)
+
+(* A checksum only covers the bytes it is given: a body holding a whole
+   marshalled record plus one trailing byte (or minus its last byte)
+   checksums fine, and must still be refused before it is unmarshalled in
+   place. *)
+let test_checksummed_but_missized () =
+  let r = upd ~lsn:1 ~index:0 10 in
+  let frame body =
+    Printf.sprintf "%08x %08x %s" (String.length body) (Wal.checksum body) body
+  in
+  let body = Marshal.to_string r [] in
+  let good = Wal.encode r in
+  List.iter
+    (fun (what, bad) ->
+      let d = Wal.decode_all (good ^ bad) in
+      check_bool (what ^ ": corrupt") true (d.Wal.damage = Wal.Corrupt);
+      check_int (what ^ ": only the good frame decodes") 1
+        (List.length d.Wal.records);
+      check_int (what ^ ": good_bytes") (String.length good) d.Wal.good_bytes)
+    [
+      ("trailing byte", frame (body ^ "\000"));
+      ("short body", frame (String.sub body 0 (String.length body - 1)));
+      ("shorter than a marshal header", frame "x");
+    ]
+
 let test_has_lsn () =
   St.reset ();
   let dev = St.create ~name:"t" in
@@ -162,6 +348,55 @@ let test_has_lsn () =
   check_bool "present" true (WIO.has_lsn dev 1);
   check_bool "present" true (WIO.has_lsn dev 3);
   check_bool "absent" false (WIO.has_lsn dev 2)
+
+(* ---- what a checkpoint seals ----
+
+   The durable store over real atomics and the simulated device, driven
+   outside any simulator run (device operations are free there). *)
+
+module DA = Persist.Durable.Make (Mem.Atomic) (Mc_fig3) (Persist.Storage.Sim)
+
+let test_checkpoint_seals_committed () =
+  St.reset ();
+  let m = 16 in
+  let init = Array.init m (fun i -> -i) in
+  let t = DA.create_with ~n:1 init in
+  let h = DA.handle t ~pid:0 in
+  let rng = Random.State.make [| 42 |] in
+  let shadow = Array.copy init in
+  let write () =
+    let i = Random.State.int rng m and v = Random.State.int rng 1_000_000 in
+    DA.update h i v;
+    shadow.(i) <- v
+  in
+  for _ = 1 to 40 do
+    write ()
+  done;
+  let sealed = Array.copy shadow in
+  DA.checkpoint_now h;
+  let dev = DA.storage t in
+  let triple_end = St.size dev in
+  for _ = 1 to 25 do
+    write ()
+  done;
+  let all = Array.init m Fun.id in
+  let live = DA.scan h all in
+  check_bool "the live store is the shadow" true (live = shadow);
+  let st, _ = R.load dev ~init in
+  check_bool "whole device recovers the live store" true
+    (ints_of st = live);
+  check_int "the suffix is replayed" 25 st.Recovery.replayed;
+  check_int "from the checkpoint" 1 st.Recovery.checkpoint_gen;
+  let r = DA.recover dev ~n:1 init in
+  check_bool "recover rebuilds the live store" true
+    (DA.scan (DA.handle r ~pid:0) all = live);
+  St.truncate dev triple_end;
+  let st, _ = R.load dev ~init in
+  check_bool "the triple holds exactly the first updates" true
+    (ints_of st = sealed);
+  check_int "nothing replayed past the triple" 0 st.Recovery.replayed;
+  check_int "generation 1" 1 st.Recovery.checkpoint_gen;
+  check_int "lsns restart past the sealed ones" 41 st.Recovery.next_lsn
 
 (* ---- the durable snapshot under the simulator ----
 
@@ -263,6 +498,9 @@ let () =
           Alcotest.test_case "empty log" `Quick test_empty_log;
           Alcotest.test_case "torn tail" `Quick test_torn_tail;
           Alcotest.test_case "corrupt mid-log" `Quick test_corrupt_mid_log;
+          Alcotest.test_case "golden frames" `Quick test_golden_frames;
+          Alcotest.test_case "checksummed but missized body" `Quick
+            test_checksummed_but_missized;
           Alcotest.test_case "has_lsn" `Quick test_has_lsn;
         ] );
       ( "recovery",
@@ -271,8 +509,12 @@ let () =
             test_begin_without_end;
           Alcotest.test_case "duplicate lsn dedup" `Quick
             test_duplicate_lsn_dedup;
+          Alcotest.test_case "one pass matches the two-walk reference" `Quick
+            test_replay_matches_reference;
           Alcotest.test_case "checkpoint roundtrip" `Quick
             test_checkpoint_roundtrip;
+          Alcotest.test_case "checkpoint seals the committed state" `Quick
+            test_checkpoint_seals_committed;
           Alcotest.test_case "double recovery idempotent" `Quick
             test_double_recovery_idempotent;
         ] );
