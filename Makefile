@@ -83,7 +83,9 @@ chaos-mem:
 	  --check --json $(ARTIFACTS)/chaos-mem-fig1-hardened-$(SEED).json
 
 # Serving-layer smoke (E16): drive the flat and sharded Figure 3 through
-# the multicore loadgen on 2 domains, short budget, JSON summaries
+# the multicore loadgen on 2 domains — sharded with window scans (mostly
+# inside one shard) and with random-set scans (cross-shard double
+# collects) — short budget, JSON summaries
 # uploaded with the other campaign artifacts.  The committed reference
 # trajectory is BENCH_runtime.json.
 loadgen-smoke:
@@ -95,8 +97,13 @@ loadgen-smoke:
 	dune exec bin/loadgen.exe -- --impl sharded --shards 8 --partition range \
 	  -m 1024 -r 16 --domains 2 --mix 1u+1s --scan window --duration 500ms \
 	  --warmup 0.1s --seed 42 --json $(ARTIFACTS)/loadgen-sharded.json
+	dune exec bin/loadgen.exe -- --impl sharded --shards 8 --partition range \
+	  -m 1024 -r 16 --domains 2 --mix 1u+1s --scan random --duration 500ms \
+	  --warmup 0.1s --seed 42 --json $(ARTIFACTS)/loadgen-sharded-random.json
 
-# Resilient-serving campaign (E17, docs/MODEL.md §11): the supervised
+# Serving campaign (E16/E17, docs/MODEL.md §10–§11): first the plain
+# validated sharded front, whose cross-shard scans are double collects,
+# under the chaos and crash-restart nemeses; then the supervised
 # sharded front under combined nemeses.  Every Atomic scan is checked for
 # linearizability; every budget exhaustion must surface as Degraded; the
 # stuck-epoch runs must complete at least one shard rebuild with validated
@@ -105,6 +112,12 @@ loadgen-smoke:
 chaos-runtime:
 	dune build bin/simulate.exe bin/loadgen.exe
 	mkdir -p $(ARTIFACTS)
+	dune exec bin/simulate.exe -- --impl sharded --shards 4 \
+	  --nemesis chaos --seeds 10 --check \
+	  --json $(ARTIFACTS)/chaos-runtime-sharded.json
+	dune exec bin/simulate.exe -- --impl sharded --shards 4 \
+	  --nemesis crash-restart --seeds 10 --check \
+	  --json $(ARTIFACTS)/chaos-runtime-sharded-cr.json
 	dune exec bin/simulate.exe -- --impl resilient --shards 4 \
 	  --nemesis chaos --stick-epoch 0 --seeds 10 --check \
 	  --json $(ARTIFACTS)/chaos-runtime-stuck-epoch.json

@@ -63,6 +63,8 @@ module Mc_txn_snap : Snapshot.S = struct
     ignore (T.commit x);
     vs
 
+  let read h i = (scan h [| i |]).(0)
+
   let last_scan_collects _ = 1
 end
 

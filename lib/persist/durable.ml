@@ -131,6 +131,8 @@ struct
 
   let scan h idxs = Inner.scan h.h idxs
 
+  let read h i = Inner.read h.h i
+
   let last_scan_collects h = Inner.last_scan_collects h.h
 
   (* Append + barrier, verified against an intervening power loss: if the

@@ -3,8 +3,10 @@
 
    See resilient.mli for the API contract and docs/MODEL.md §11 for the
    degradation semantics.  The construction mirrors Sharded's geometry
-   (per-shard snapshot instances, epoch-validated cross-shard rounds) and
-   adds three mechanisms on top:
+   (per-shard snapshot instances, per-shard epochs) but validates a
+   cross-shard scan over rounds of per-shard sub-scans, where Sharded
+   double-collects single-component reads, and adds three mechanisms on
+   top:
 
    - scans carry a round budget with exponential backoff between failed
      validation rounds; on exhaustion they return [Degraded] instead of
@@ -610,6 +612,16 @@ struct
     | Atomic vs -> vs
     | Degraded { values; _ } -> values
 
+  (* One component lives in one shard: the active instance's own
+     linearizable read, with any in-progress heal helped first. *)
+  let read h i =
+    let t = h.t in
+    if i < 0 || i >= t.m then invalid_arg "Resilient.read: index";
+    let s, j = locate t i in
+    match handle_for h s (active_state t ~pid:h.pid s) with
+    | HP hp -> snd (S.read hp j)
+    | HR hr -> snd (R.read hr j)
+
   let last_scan_collects h = h.collects
 
   let last_scan_rounds h = h.rounds
@@ -655,6 +667,8 @@ struct
     let update = update
 
     let scan = scan
+
+    let read = read
 
     let last_scan_collects = last_scan_collects
   end

@@ -11,16 +11,17 @@
 
     {2 Deadlines and backoff}
 
-    A validated cross-shard scan runs agreement rounds exactly like
-    {!Sharded}, but under a round budget [C.max_rounds].  Between failed
-    rounds it backs off — bounded exponential delay with deterministic
-    (pid, attempt)-derived jitter, spent as reads of a scratch cell so
-    each delay unit is a scheduling point in the simulator and a cheap
-    spin on real atomics.  When the budget is exhausted the scan returns
-    [Degraded] carrying the last round's values (each shard's fragment is
-    still an atomic sub-snapshot), the suspect shards, and the
-    [(component, epoch)] pairs that failed validation.  See
-    docs/MODEL.md §11 for the exact degradation contract.
+    A validated cross-shard scan runs rounds of per-shard sub-scans until
+    two consecutive rounds agree on every epoch (the round-based form of
+    {!Sharded}'s double collect), under a round budget [C.max_rounds].
+    Between failed rounds it backs off — bounded exponential delay with
+    deterministic (pid, attempt)-derived jitter, spent as reads of a
+    scratch cell so each delay unit is a scheduling point in the simulator
+    and a cheap spin on real atomics.  When the budget is exhausted the
+    scan returns [Degraded] carrying the last round's values (each shard's
+    fragment is still an atomic sub-snapshot), the suspect shards, and the
+    [(component, epoch)] pairs that failed validation.  See docs/MODEL.md
+    §11 for the exact degradation contract.
 
     {2 Circuit breakers}
 
@@ -149,6 +150,10 @@ module Make
   (** [scan_outcome] projected to values (the
       {!Psnap_snapshot.Snapshot_intf.S} shape); check
       [last_scan_degraded] to tell the outcomes apart. *)
+
+  val read : 'a handle -> int -> 'a
+  (** The owning shard's linearizable single-component read (helping an
+      in-progress heal of that shard first). *)
 
   val last_scan_collects : 'a handle -> int
 

@@ -2,11 +2,11 @@
    snapshot instances, with epoch-validated cross-shard scans.
 
    See sharded.mli for the atomicity argument and docs/MODEL.md §10 for
-   why a separate per-shard epoch *cell* read around the sub-scans would
-   be unsound (a writer suspended between its epoch bump and its data
-   write masks itself) — the epoch here is installed *inside* the shard,
-   atomically with the value, so the per-shard sub-scan reads data and
-   version information in one linearizable operation. *)
+   why a separate per-shard epoch *cell* read around the reads would be
+   unsound (a writer suspended between its epoch bump and its data write
+   masks itself) — the epoch here is installed *inside* the shard,
+   atomically with the value, so one linearizable [S.read] returns data
+   and version information together. *)
 
 module type CONFIG = sig
   val shards : int
@@ -44,7 +44,8 @@ struct
     t : 'a t;
     hs : (int * 'a) S.handle array;
     mutable collects : int;
-    mutable rounds : int;  (** validation rounds of the most recent scan *)
+    mutable rounds : int;  (** rounds of the most recent scan: 1, or the
+                               double collect's collects *)
   }
 
   (* component i -> (shard, local index) *)
@@ -103,92 +104,85 @@ struct
     let e = M.fetch_and_add t.epochs.(s) 1 in
     S.update h.hs.(s) j (e, v)
 
+  (* [`Relaxed] mode across shards: one sub-scan per touched shard, in
+     shard order, each an atomic fragment of its own shard. *)
+  let fragments h locs =
+    let all = List.init (Array.length locs) Fun.id in
+    let out = ref [||] in
+    for s = 0 to h.t.nshards - 1 do
+      match List.filter (fun k -> fst locs.(k) = s) all with
+      | [] -> ()
+      | here ->
+        let pos = Array.of_list here in
+        let vals = S.scan h.hs.(s) (Array.map (fun k -> snd locs.(k)) pos) in
+        h.collects <- h.collects + S.last_scan_collects h.hs.(s);
+        if Array.length !out = 0 then
+          out := Array.make (Array.length locs) (snd vals.(0));
+        Array.iteri (fun p k -> !out.(k) <- snd vals.(p)) pos
+    done;
+    h.rounds <- 1;
+    !out
+
+  (* Double collect of single-component reads: collects of the requested
+     [(epoch, value)] pairs until two consecutive ones agree on every
+     epoch, then the second one's values. *)
+  let double_collect h locs =
+    let collect () =
+      h.rounds <- h.rounds + 1;
+      Array.map (fun (s, j) -> S.read h.hs.(s) j) locs
+    in
+    let agree a b =
+      let rec go k = k < 0 || (fst a.(k) = fst b.(k) && go (k - 1)) in
+      go (Array.length a - 1)
+    in
+    let[@psnap.bounded
+         "lock-free, not wait-free: every retry is forced by an install of \
+          a fresh epoch into a requested component"] rec settle prev =
+      let cur = collect () in
+      if agree prev cur then Array.map snd cur else settle cur
+    in
+    let vals = settle (collect ()) in
+    h.collects <- h.rounds;
+    vals
+
   let scan h idxs =
     let t = h.t in
-    let len = Array.length idxs in
     h.collects <- 0;
     h.rounds <- 0;
-    if len = 0 then [||]
+    if Array.length idxs = 0 then [||]
     else begin
-      Array.iter
-        (fun i -> if i < 0 || i >= t.m then invalid_arg "Sharded.scan: index")
-        idxs;
-      (* group the requested components by shard, remembering each one's
-         slot in the output vector *)
-      let locs = Array.make t.nshards [] in
-      for k = len - 1 downto 0 do
-        let s, j = locate t idxs.(k) in
-        locs.(s) <- (j, k) :: locs.(s)
-      done;
-      let touched = ref [] in
-      for s = t.nshards - 1 downto 0 do
-        if locs.(s) <> [] then touched := s :: !touched
-      done;
-      let touched = Array.of_list !touched in
-      let nt = Array.length touched in
-      let sub_idx =
-        Array.map (fun s -> Array.of_list (List.map fst locs.(s))) touched
+      let locs =
+        Array.map
+          (fun i ->
+            if i < 0 || i >= t.m then invalid_arg "Sharded.scan: index";
+            locate t i)
+          idxs
       in
-      let sub_pos =
-        Array.map (fun s -> Array.of_list (List.map snd locs.(s))) touched
-      in
-      (* one round: a partial scan of every touched shard.  Each sub-scan
-         is linearizable on its own; rounds execute sequentially. *)
-      let round () =
-        h.rounds <- h.rounds + 1;
-        Array.init nt (fun k ->
-            let r = S.scan h.hs.(touched.(k)) sub_idx.(k) in
-            h.collects <- h.collects + S.last_scan_collects h.hs.(touched.(k));
-            r)
-      in
-      (* epochs identify updates uniquely per shard, so equal epoch
-         vectors across two consecutive rounds mean no touched component
-         changed between the two rounds' sub-scans (no ABA). *)
-      let agree a b =
-        let ok = ref true in
-        for k = 0 to nt - 1 do
-          let ak = a.(k) and bk = b.(k) in
-          for p = 0 to Array.length ak - 1 do
-            if fst ak.(p) <> fst bk.(p) then ok := false
-          done
-        done;
-        !ok
-      in
-      let emit rows =
-        let _, v0 = rows.(0).(0) in
-        let out = Array.make len v0 in
-        for k = 0 to nt - 1 do
-          let pos = sub_pos.(k) and row = rows.(k) in
-          for p = 0 to Array.length row - 1 do
-            out.(pos.(p)) <- snd row.(p)
-          done
-        done;
-        out
-      in
+      let s0 = fst locs.(0) in
       let out =
-        if relaxed || nt = 1 then
-          (* a single sub-scan is linearizable on its own: scans that stay
+        if Array.for_all (fun (s, _) -> s = s0) locs then begin
+          (* one sub-scan is linearizable on its own: scans that stay
              inside one shard (the common case under range partitioning
-             with window workloads) need no validation round *)
-          emit (round ())
-        else begin
-          (* sliding double collect over whole rounds: retry costs one
-             extra round, and only when some touched component really
-             changed — lock-free, and never stuck behind a crashed updater
-             (a crashed update either installed its epoch or never will;
-             neither makes consecutive rounds disagree forever). *)
-          let rec settle prev =
-            let cur = round () in
-            if agree prev cur then emit cur else settle cur
-          in
-          settle (round ())
+             with window workloads) need no validation *)
+          let vals = S.scan h.hs.(s0) (Array.map snd locs) in
+          h.rounds <- 1;
+          h.collects <- S.last_scan_collects h.hs.(s0);
+          Array.map snd vals
         end
+        else if relaxed then fragments h locs
+        else double_collect h locs
       in
       Psnap_sched.Metrics.(add Serving.scan_rounds h.rounds);
       if h.rounds > 2 then
         Psnap_sched.Metrics.(add Serving.scan_retries (h.rounds - 2));
       out
     end
+
+  let read h i =
+    let t = h.t in
+    if i < 0 || i >= t.m then invalid_arg "Sharded.read: index";
+    let s, j = locate t i in
+    snd (S.read h.hs.(s) j)
 
   let last_scan_collects h = h.collects
 

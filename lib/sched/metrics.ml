@@ -140,8 +140,12 @@ let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b
 module Serving = struct
   let group = { title = "serving"; counters = [] }
   let c = counter group
-  let scan_rounds = c "scan_rounds" "sub-scan rounds executed by scans"
-  let scan_retries = c "scan_retries" "rounds beyond the validating pair"
+  let scan_rounds =
+    c "scan_rounds"
+      "scan rounds: collects of a sharded cross-shard scan, sub-scan rounds \
+       otherwise"
+  let scan_retries =
+    c "scan_retries" "rounds beyond the validating pair, one per retry"
   let degraded_scans = c "degraded_scans" "scans returning Degraded"
   let backoff_steps = c "backoff_steps" "base reads spent backing off"
   let breaker_opens = c "breaker_opens" "circuit transitions into Open"

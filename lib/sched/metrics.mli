@@ -117,7 +117,7 @@ val pp : Format.formatter -> reading -> unit
 val fields : reading -> (string * string) list
 
 (** The [Psnap_runtime] serving layer: validation rounds of sharded
-    scans, degraded scans and backoff, circuit-breaker transitions and
+    scans (for a cross-shard sharded scan, its collects), degraded scans and backoff, circuit-breaker transitions and
     shard heals of the resilient supervision layer (docs/MODEL.md §11). *)
 module Serving : sig
   val group : group

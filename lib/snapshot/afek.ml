@@ -51,5 +51,7 @@ module Make (M : Psnap_mem.Mem_intf.S) : Snapshot_intf.S = struct
     h.last_collects <- st.collects;
     C.extract result idxs
 
+  let read h i = (scan h [| i |]).(0)
+
   let last_scan_collects h = h.last_collects
 end

@@ -44,5 +44,7 @@ module Make (M : Psnap_mem.Mem_intf.S) : Snapshot_intf.S = struct
         else root.(i))
       idxs
 
+  let read h i = (scan h [| i |]).(0)
+
   let last_scan_collects h = h.last_collects
 end

@@ -91,6 +91,11 @@ module Make_repr
     h.last_collects <- st.collects;
     C.extract result idxs
 
+  (* The CAS cell always holds the component's current value: a failed
+     CAS is linearized just before the update that beat it, so it is
+     never visible. *)
+  let read h i = (M.read h.t.regs.(i)).v
+
   let last_scan_collects h = h.last_collects
 end
 

@@ -91,5 +91,7 @@ module Make (M : Psnap_mem.Mem_intf.S) = struct
     in
     if Array.length sorted = 0 then [||] else go (collect ()) 2
 
+  let read h i = (M.read h.t.regs.(i)).v
+
   let last_scan_collects h = h.last_collects
 end

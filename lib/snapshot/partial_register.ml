@@ -70,6 +70,9 @@ module Make_repr
     h.last_collects <- st.collects;
     C.extract result idxs
 
+  (* updates linearize at their write, so the register is the component *)
+  let read h i = (M.read h.t.regs.(i)).v
+
   let last_scan_collects h = h.last_collects
 end
 

@@ -29,6 +29,16 @@ module type S = sig
 
   val scan : 'a handle -> int array -> 'a array
 
+  val read : 'a handle -> int -> 'a
+  (** [read h i] — a linearizable read of component [i] alone: it returns
+      the value the component holds at some instant inside the call.
+      Where one register always holds the component's current value
+      (Figures 1 and 3, the non-blocking baseline) it is that register's
+      single read: no announcement, no active set, no collect.  Elsewhere
+      it is the one-component scan [(scan h [|i|]).(0)], which may then
+      overwrite [last_scan_collects].  The sharded runtime builds its
+      cross-shard scans from it. *)
+
   val last_scan_collects : 'a handle -> int
   (** Number of collects performed by this handle's most recent [scan] —
       instrumentation for the collect-bound experiments (E6). *)

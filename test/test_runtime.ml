@@ -221,34 +221,44 @@ let test_partitioners_roundtrip () =
       roundtrip (sharded_mc ~shards:8 ~partition ~mode:`Validated) ~m:3)
     [ `Round_robin; `Range ]
 
-(* ---- sharded snapshot: exact linearizability on small histories ---- *)
+(* ---- exact linearizability on small histories ---- *)
 
-let test_sharded_exact_lincheck () =
+(* Two updaters and a scanner under seeded random schedules; the scanner
+   interleaves cross-shard scans with single-component [read]s, each read
+   recorded as a one-component scan, so the checker holds reads to the
+   same specification. *)
+let exact_lincheck (module S : Snapshot.S) =
   let m = 4 in
   let init = Array.init m (fun i -> -(i + 1)) in
   for seed = 0 to 9 do
     let hist = History.create ~now:Sim.mark () in
     Sim.reset_prerun_oids ();
-    let t = Sim_sharded_fig3.create ~n:3 (Array.copy init) in
+    let t = S.create ~n:3 (Array.copy init) in
     let updater pid () =
-      let h = Sim_sharded_fig3.handle t ~pid in
+      let h = S.handle t ~pid in
       for k = 1 to 2 do
         let i = (k + pid) mod m in
         let v = (pid * 100) + k in
         ignore
           (History.record hist ~pid (Snapshot_spec.Update (i, v)) (fun () ->
-               Sim_sharded_fig3.update h i v;
+               S.update h i v;
                Snapshot_spec.Ack))
       done
     in
     let scanner pid () =
-      let h = Sim_sharded_fig3.handle t ~pid in
+      let h = S.handle t ~pid in
       (* indices 0 and 3 land in different shards under round-robin x4 *)
       let idxs = [| 0; 3 |] in
       for _ = 1 to 2 do
         ignore
           (History.record hist ~pid (Snapshot_spec.Scan idxs) (fun () ->
-               Snapshot_spec.Vals (Sim_sharded_fig3.scan h idxs)))
+               Snapshot_spec.Vals (S.scan h idxs)));
+        Array.iter
+          (fun i ->
+            ignore
+              (History.record hist ~pid (Snapshot_spec.Scan [| i |])
+                 (fun () -> Snapshot_spec.Vals [| S.read h i |])))
+          idxs
       done
     in
     ignore
@@ -256,10 +266,116 @@ let test_sharded_exact_lincheck () =
          ~sched:(Scheduler.random ~seed ())
          [| updater 0; updater 1; scanner 2 |]);
     check_bool
-      (Printf.sprintf "seed %d linearizable (exact checker)" seed)
+      (Printf.sprintf "%s, seed %d linearizable (exact checker)" S.name seed)
       true
       (Snapshot_spec.check ~init (History.entries hist))
   done
+
+let test_exact_lincheck () =
+  List.iter exact_lincheck
+    [ (module Sim_fig3); (module Sim_fig1); (module Sim_sharded_fig3) ]
+
+(* ---- cross-shard scans: every interleaving of a tiny config ---- *)
+
+module Sim_sharded_range2 =
+  Psnap_runtime.Sharded.Make (Mem.Sim) (Sim_fig3)
+    (struct
+      let shards = 2
+      let partition = `Range
+      let mode = `Validated
+    end)
+
+(* pid 0 updates component 0, then component 1 (each in its own shard);
+   pid 1 reads both with [scan_of].  Returns the interleavings explored
+   and how many of them the exact checker rejected. *)
+let explore_cross_shard scan_of =
+  let module S = Sim_sharded_range2 in
+  let init = [| -1; -2 |] in
+  let schedules = ref 0 and rejected = ref 0 in
+  let make () =
+    let hist = History.create ~now:Sim.mark () in
+    Sim.reset_prerun_oids ();
+    let t = S.create ~n:2 (Array.copy init) in
+    let updater () =
+      let h = S.handle t ~pid:0 in
+      List.iter
+        (fun (i, v) ->
+          ignore
+            (History.record hist ~pid:0 (Snapshot_spec.Update (i, v))
+               (fun () ->
+                 S.update h i v;
+                 Snapshot_spec.Ack)))
+        [ (0, 10); (1, 11) ]
+    in
+    let scanner () =
+      let h = S.handle t ~pid:1 in
+      ignore
+        (History.record hist ~pid:1 (Snapshot_spec.Scan [| 0; 1 |]) (fun () ->
+             Snapshot_spec.Vals (scan_of h)))
+    in
+    ( [| updater; scanner |],
+      fun () ->
+        incr schedules;
+        if not (Snapshot_spec.check ~init (History.entries hist)) then
+          incr rejected )
+  in
+  ignore (Explore.run ~make ());
+  (!schedules, !rejected)
+
+let test_cross_shard_exhaustive () =
+  let module S = Sim_sharded_range2 in
+  let schedules, rejected =
+    explore_cross_shard (fun h -> S.scan h [| 0; 1 |])
+  in
+  check_bool
+    (Printf.sprintf "double collect: %d interleavings explored" schedules)
+    true (schedules >= 100);
+  check_int "double collect: every interleaving linearizable" 0 rejected;
+  (* the same reads without the second collect: the checker must catch
+     the torn cut (old component 0, new component 1) *)
+  let _, rejected =
+    explore_cross_shard (fun h ->
+        let v0 = S.read h 0 in
+        [| v0; S.read h 1 |])
+  in
+  check_bool
+    (Printf.sprintf "single collect convicted in %d interleavings" rejected)
+    true (rejected > 0)
+
+(* ---- cross-shard scans: a retry costs one collect ---- *)
+
+let test_retry_accounting () =
+  let module S = Sim_sharded_range2 in
+  Sim.reset_prerun_oids ();
+  let t = S.create ~n:2 [| -1; -2 |] in
+  let rounds = ref 0 and collects = ref 0 and out = ref [||] in
+  let scanner () =
+    let h = S.handle t ~pid:0 in
+    out := S.scan h [| 0; 1 |];
+    rounds := S.last_scan_rounds h;
+    collects := S.last_scan_collects h
+  in
+  let updater () = S.update (S.handle t ~pid:1) 1 7 in
+  (* the scan's first collect (two reads), then the whole update, then
+     the rest of the scan *)
+  let picks = ref 0 in
+  let sched =
+    {
+      Scheduler.name = "collect-update-collect";
+      pick =
+        (fun v ->
+          incr picks;
+          if !picks > 2 && Scheduler.is_runnable v 1 then Scheduler.Run 1
+          else Scheduler.Run 0);
+    }
+  in
+  let retries0 = Psnap_sched.Metrics.(get Serving.scan_retries) in
+  ignore (Sim.run ~sched [| scanner; updater |]);
+  Alcotest.(check (array int)) "scan sees the update" [| -1; 7 |] !out;
+  check_int "last_scan_rounds" 3 !rounds;
+  check_int "last_scan_collects" 3 !collects;
+  check_int "one retry counted" 1
+    (Psnap_sched.Metrics.(get Serving.scan_retries) - retries0)
 
 (* ---- sharded snapshot: chaos-nemesis campaign (observation checker) ---- *)
 
@@ -461,7 +577,11 @@ let () =
           Alcotest.test_case "partitioners roundtrip" `Quick
             test_partitioners_roundtrip;
           Alcotest.test_case "exact lincheck, small histories" `Quick
-            test_sharded_exact_lincheck;
+            test_exact_lincheck;
+          Alcotest.test_case "cross-shard scan, every interleaving" `Quick
+            test_cross_shard_exhaustive;
+          Alcotest.test_case "retry costs one collect" `Quick
+            test_retry_accounting;
           Alcotest.test_case "linearizable under chaos (25 seeds)" `Quick
             test_sharded_linearizable_under_chaos;
           Alcotest.test_case "e17 witness replays to a violation" `Quick
