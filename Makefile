@@ -30,7 +30,8 @@ race:
 	dune exec bin/race.exe -- --seeds 3 --shrink \
 	  --json $(ARTIFACTS)/psnap-race.json
 
-# Regenerate every experiment table (E1..E13 step counts + E8 wall clock).
+# Regenerate every experiment table (E1..E13 and E16s step counts + E8 wall
+# clock; throughput is the loadgen's and perfbench's).
 bench:
 	dune exec bench/main.exe
 
@@ -102,9 +103,13 @@ loadgen-smoke:
 	  --warmup 0.1s --seed 42 --json $(ARTIFACTS)/loadgen-sharded-random.json
 
 # Serving campaign (E16/E17, docs/MODEL.md §10–§11): first the plain
-# validated sharded front, whose cross-shard scans are double collects,
-# under the chaos and crash-restart nemeses; then the supervised
-# sharded front under combined nemeses.  Every Atomic scan is checked for
+# validated sharded front under the chaos and crash-restart nemeses, at
+# simulate's defaults (m = 64, r = 8: each scanner's stride-8 set lands
+# in one of the 4 round-robin shards, so every scan is a single-shard
+# double collect with a fig3 sub-scan fallback) and at -r 6 (stride 10:
+# every scan crosses shards and retries its double collect); the target
+# fails unless the default runs fell back and the -r 6 runs retried.
+# Then the supervised sharded front under combined nemeses.  Every Atomic scan is checked for
 # linearizability; every budget exhaustion must surface as Degraded; the
 # stuck-epoch runs must complete at least one shard rebuild with validated
 # post-rebuild scans; the loadgen run pins tail latency with one circuit
@@ -118,6 +123,19 @@ chaos-runtime:
 	dune exec bin/simulate.exe -- --impl sharded --shards 4 \
 	  --nemesis crash-restart --seeds 10 --check \
 	  --json $(ARTIFACTS)/chaos-runtime-sharded-cr.json
+	dune exec bin/simulate.exe -- --impl sharded --shards 4 -r 6 \
+	  --nemesis chaos --seeds 10 --check \
+	  --json $(ARTIFACTS)/chaos-runtime-sharded-r6.json
+	dune exec bin/simulate.exe -- --impl sharded --shards 4 -r 6 \
+	  --nemesis crash-restart --seeds 10 --check \
+	  --json $(ARTIFACTS)/chaos-runtime-sharded-cr-r6.json
+	python3 -c "import json, sys; \
+	  n = lambda f, k: json.load(open('$(ARTIFACTS)/chaos-runtime-' + f + '.json'))[k]; \
+	  bad = [f + ': ' + k + ' = 0' for f, k in \
+	         [('sharded', 'scan_fallbacks'), ('sharded-cr', 'scan_fallbacks'), \
+	          ('sharded-r6', 'scan_retries'), ('sharded-cr-r6', 'scan_retries')] \
+	         if n(f, k) == 0]; \
+	  sys.exit('; '.join(bad) if bad else 0)"
 	dune exec bin/simulate.exe -- --impl resilient --shards 4 \
 	  --nemesis chaos --stick-epoch 0 --seeds 10 --check \
 	  --json $(ARTIFACTS)/chaos-runtime-stuck-epoch.json

@@ -4,14 +4,15 @@
    Part 1 (E1-E7) runs on the step-counting simulator — machine-independent
    step counts, the cost unit of the paper's theorems.
    Part 2 (E8) measures wall-clock operation latency of the Atomic-backed
-   implementations with Bechamel, plus a simple multi-domain throughput
-   table.  Run with `dune exec bench/main.exe`. *)
+   implementations with Bechamel; multi-domain throughput is perfbench's
+   and the loadgen's (EXPERIMENTS.md E16).  Run with
+   `dune exec bench/main.exe`. *)
 
 open Psnap
 module Table = Psnap_harness.Table
 module Experiments = Psnap_harness.Experiments
 
-(* ---- E8a: bechamel latency of uncontended operations ---- *)
+(* ---- E8: bechamel latency of uncontended operations ---- *)
 
 let bechamel_tests () =
   let open Bechamel in
@@ -99,55 +100,13 @@ let run_bechamel () =
   Table.print
     (Table.make
        ~title:
-         "E8a  Wall-clock latency, uncontended (Atomic backend, m=256, bechamel OLS)"
+         "E8  Wall-clock latency, uncontended (Atomic backend, m=256, bechamel OLS)"
        ~header:[ "operation"; "ns/op"; "r^2" ]
        rows)
-
-(* ---- E8b: multi-domain throughput (driven by the runtime loadgen) ---- *)
-
-module Loadgen = Psnap.Runtime.Loadgen
-
-let throughput_row (name, impl) =
-  let rep =
-    Loadgen.run impl
-      {
-        Loadgen.default with
-        m = 256;
-        r = 8;
-        domains = 2;
-        mix = Loadgen.Dedicated { updaters = 1; scanners = 1 };
-        warmup_s = 0.05;
-        duration_s = 0.5;
-      }
-  in
-  let rate n =
-    if rep.Loadgen.elapsed_s > 0.0 then
-      Printf.sprintf "%.0f" (float_of_int n /. rep.Loadgen.elapsed_s)
-    else "0"
-  in
-  [ name; rate rep.Loadgen.updates; rate rep.Loadgen.scans ]
-
-let run_throughput () =
-  let impls : (string * (module Snapshot.S)) list =
-    [
-      ("afek", (module Mc_afek));
-      ("fig1", (module Mc_fig1));
-      ("fig3", (module Mc_fig3));
-      ("farray", (module Mc_farray));
-      ("sharded-4xfig3", (module Mc_sharded_fig3));
-    ]
-  in
-  Table.print
-    (Table.make
-       ~title:
-         "E8b  Throughput, 1 updater + 1 scanner domain, 0.5 s (single-core host: domains time-slice)"
-       ~header:[ "impl"; "updates/s"; "scans/s (r=8)" ]
-       (List.map throughput_row impls))
 
 let () =
   print_endline "Partial snapshot objects (SPAA'08) - experiment suite";
   print_endline "Step counts below are exact shared-memory accesses in the";
   print_endline "simulator; see EXPERIMENTS.md for the paper-vs-measured discussion.";
   List.iter Table.print (Experiments.all ());
-  run_bechamel ();
-  run_throughput ()
+  run_bechamel ()

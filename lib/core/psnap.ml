@@ -343,16 +343,6 @@ module Mc_fig3_small =
 module Mc_afek = Psnap_snapshot.Afek.Make (Mem.Atomic)
 module Mc_farray = Psnap_snapshot.Farray_snapshot.Make (Mem.Atomic)
 
-(** Figure 3 sharded 4 ways on real atomics; the loadgen CLI builds
-    arbitrary shard counts at runtime. *)
-module Mc_sharded_fig3 =
-  Psnap_runtime.Sharded.Make (Mem.Atomic) (Mc_fig3)
-    (struct
-      let shards = 4
-      let partition = `Round_robin
-      let mode = `Validated
-    end)
-
 (** Figure 3 made durable on real atomics, logging through the
     mutex-guarded multicore device — what the loadgen's [--impl durable]
     drives to price durability in the latency histograms. *)

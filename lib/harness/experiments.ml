@@ -794,6 +794,76 @@ let e13 ?seeds () =
     ~header:[ "join/leave cycles x2"; "fig2 allocations"; "bounded allocations" ]
     rows
 
+(* ---- E16s: single-shard window scans of the sharded front ---- *)
+
+module Sim_sharded_range8 =
+  Runtime.Sharded.Make (Mem.Sim) (Sim_fig3)
+    (struct
+      let shards = 8
+      let partition = `Range
+      let mode = `Validated
+    end)
+
+(* m = 64 over 8 range shards (8 components each); every scanner reads
+   the window 2..5 of shard 0 and every update lands in shard 0, the
+   adversarial case for the double collect.  Half the processes update,
+   half scan.  Flat fig3 serves the same operations for reference. *)
+let e16s ?(seeds = default_seeds) () =
+  let r = 4 and scans = 8 in
+  let cfg impl n =
+    {
+      Workload.impl;
+      m = 64;
+      updaters = n / 2;
+      updates = 20;
+      scanners = n / 2;
+      scans;
+      r;
+      sched = (fun seed -> Scheduler.random ~seed ());
+      seeds;
+      update_range = Some 8;
+      scan_idxs = Some (Array.init r (fun k -> 2 + k));
+    }
+  in
+  let rows =
+    List.map
+      (fun n ->
+        let flat = Workload.run (cfg Instance.sim_fig3 n) in
+        let fallbacks0 = Metrics.(get Serving.scan_fallbacks) in
+        let sh =
+          Workload.run (cfg (Instance.of_module (module Sim_sharded_range8)) n)
+        in
+        let fallbacks = Metrics.(get Serving.scan_fallbacks) - fallbacks0 in
+        [
+          Table.i n;
+          Table.f2 (Workload.mean_steps flat "update");
+          Table.f2 (Workload.mean_steps flat "scan");
+          Table.f2 (Workload.mean_steps sh "update");
+          Table.f2 (Workload.mean_steps sh "scan");
+          Table.i (Workload.worst_collects sh);
+          Table.i ((2 * r) + 3);
+          Table.f1
+            (100.0 *. float_of_int fallbacks
+            /. float_of_int (seeds * (n / 2) * scans));
+        ])
+      [ 2; 4; 8 ]
+  in
+  Table.make
+    ~title:
+      "E16s  Single-shard window scans (m=64, 8 range shards, r=4, all updates in the scanned shard): a double collect, one fig3 sub-scan on interference"
+    ~header:
+      [
+        "n";
+        "fig3 upd";
+        "fig3 scan";
+        "sharded upd";
+        "sharded scan";
+        "collects worst";
+        "2r+3";
+        "fallback %";
+      ]
+    rows
+
 let all ?seeds () =
   [
     e1 ?seeds ();
@@ -810,6 +880,7 @@ let all ?seeds () =
     e11 ?seeds ();
     e12 ?seeds ();
     e13 ?seeds ();
+    e16s ?seeds ();
   ]
 
 let by_name =
@@ -828,4 +899,5 @@ let by_name =
     ("e11", e11);
     ("e12", e12);
     ("e13", e13);
+    ("e16s", e16s);
   ]

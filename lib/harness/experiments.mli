@@ -51,6 +51,10 @@ val e12 : runner
 val e13 : runner
 (** Space: allocations during churn (the paper's open problem). *)
 
+val e16s : runner
+(** Sharded single-shard window scans: steps per operation, worst
+    collects against [2r + 3], and the sub-scan fallback rate. *)
+
 val all : ?seeds:int -> unit -> Table.t list
 
 val by_name : (string * runner) list

@@ -1,5 +1,6 @@
 (* Sharded partial snapshot: partition m components across independent
-   snapshot instances, with epoch-validated cross-shard scans.
+   snapshot instances, with epoch-validated double-collect scans (inside
+   one shard, a fallback to one sub-scan keeps them wait-free).
 
    See sharded.mli for the atomicity argument and docs/MODEL.md §10 for
    why a separate per-shard epoch *cell* read around the reads would be
@@ -44,8 +45,9 @@ struct
     t : 'a t;
     hs : (int * 'a) S.handle array;
     mutable collects : int;
-    mutable rounds : int;  (** rounds of the most recent scan: 1, or the
-                               double collect's collects *)
+    mutable rounds : int;  (** rounds of the most recent scan: 1 for a
+                               relaxed cross-shard scan, else its collects
+                               plus one for a single-shard fallback *)
   }
 
   (* component i -> (shard, local index) *)
@@ -123,27 +125,46 @@ struct
     h.rounds <- 1;
     !out
 
-  (* Double collect of single-component reads: collects of the requested
-     [(epoch, value)] pairs until two consecutive ones agree on every
-     epoch, then the second one's values. *)
+  (* One collect of the requested [(epoch, value)] pairs, one [S.read]
+     each; every collect is a round. *)
+  let collect h locs =
+    h.rounds <- h.rounds + 1;
+    Array.map (fun (s, j) -> S.read h.hs.(s) j) locs
+
+  let agree a b =
+    let rec go k = k < 0 || (fst a.(k) = fst b.(k) && go (k - 1)) in
+    go (Array.length a - 1)
+
+  (* Double collect of single-component reads: collects until two
+     consecutive ones agree on every epoch, then the second one's values. *)
   let double_collect h locs =
-    let collect () =
-      h.rounds <- h.rounds + 1;
-      Array.map (fun (s, j) -> S.read h.hs.(s) j) locs
-    in
-    let agree a b =
-      let rec go k = k < 0 || (fst a.(k) = fst b.(k) && go (k - 1)) in
-      go (Array.length a - 1)
-    in
     let[@psnap.bounded
          "lock-free, not wait-free: every retry is forced by an install of \
           a fresh epoch into a requested component"] rec settle prev =
-      let cur = collect () in
+      let cur = collect h locs in
       if agree prev cur then Array.map snd cur else settle cur
     in
-    let vals = settle (collect ()) in
+    let vals = settle (collect h locs) in
     h.collects <- h.rounds;
     vals
+
+  (* A scan inside shard [s]: one double collect, and only if an update
+     interfered, one sub-scan of the shard (a third round), which is
+     linearizable on its own and wait-free if [S] is. *)
+  let single_shard h s locs =
+    let first = collect h locs in
+    let second = collect h locs in
+    if agree first second then begin
+      h.collects <- 2;
+      Array.map snd second
+    end
+    else begin
+      Psnap_sched.Metrics.(incr Serving.scan_fallbacks);
+      let vals = S.scan h.hs.(s) (Array.map snd locs) in
+      h.rounds <- h.rounds + 1;
+      h.collects <- 2 + S.last_scan_collects h.hs.(s);
+      Array.map snd vals
+    end
 
   let scan h idxs =
     let t = h.t in
@@ -160,15 +181,7 @@ struct
       in
       let s0 = fst locs.(0) in
       let out =
-        if Array.for_all (fun (s, _) -> s = s0) locs then begin
-          (* one sub-scan is linearizable on its own: scans that stay
-             inside one shard (the common case under range partitioning
-             with window workloads) need no validation *)
-          let vals = S.scan h.hs.(s0) (Array.map snd locs) in
-          h.rounds <- 1;
-          h.collects <- S.last_scan_collects h.hs.(s0);
-          Array.map snd vals
-        end
+        if Array.for_all (fun (s, _) -> s = s0) locs then single_shard h s0 locs
         else if relaxed then fragments h locs
         else double_collect h locs
       in

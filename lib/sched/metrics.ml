@@ -142,10 +142,15 @@ module Serving = struct
   let c = counter group
   let scan_rounds =
     c "scan_rounds"
-      "scan rounds: collects of a sharded cross-shard scan, sub-scan rounds \
-       otherwise"
+      "scan rounds: a sharded scan's collects, plus one for a single-shard \
+       fallback sub-scan (1 per relaxed cross-shard scan); resilient \
+       validation rounds"
   let scan_retries =
-    c "scan_retries" "rounds beyond the validating pair, one per retry"
+    c "scan_retries"
+      "rounds beyond the validating pair: a sharded fallback counts one"
+  let scan_fallbacks =
+    c "scan_fallbacks"
+      "single-shard scans whose double collect disagreed and ran a sub-scan"
   let degraded_scans = c "degraded_scans" "scans returning Degraded"
   let backoff_steps = c "backoff_steps" "base reads spent backing off"
   let breaker_opens = c "breaker_opens" "circuit transitions into Open"

@@ -117,12 +117,15 @@ val pp : Format.formatter -> reading -> unit
 val fields : reading -> (string * string) list
 
 (** The [Psnap_runtime] serving layer: validation rounds of sharded
-    scans (for a cross-shard sharded scan, its collects), degraded scans and backoff, circuit-breaker transitions and
-    shard heals of the resilient supervision layer (docs/MODEL.md §11). *)
+    scans (a sharded scan's collects, plus one for a single-shard
+    fallback sub-scan), single-shard fallbacks, degraded scans and
+    backoff, circuit-breaker transitions and shard heals of the resilient
+    supervision layer (docs/MODEL.md §11). *)
 module Serving : sig
   val group : group
   val scan_rounds : counter
   val scan_retries : counter
+  val scan_fallbacks : counter
   val degraded_scans : counter
   val backoff_steps : counter
   val breaker_opens : counter

@@ -1,7 +1,8 @@
 (* Tests of the serving layer (lib/runtime): histogram binning and
-   percentiles, zipfian sampling, the sharded snapshot's partitioners and
-   cross-shard atomicity (exact checker on small histories, observation
-   checker under a chaos nemesis), and a loadgen smoke run on real
+   percentiles, zipfian sampling, the sharded snapshot's partitioners,
+   its cross-shard atomicity and its single-shard fast path and fallback
+   (exact checker on small histories and exhaustive interleavings,
+   observation checker under a chaos nemesis), and a loadgen smoke run on real
    domains.  The relaxed sharded mode is also driven to an actual
    linearizability violation, so the validated mode's extra round is
    demonstrably load-bearing. *)
@@ -285,47 +286,57 @@ module Sim_sharded_range2 =
       let mode = `Validated
     end)
 
-(* pid 0 updates component 0, then component 1 (each in its own shard);
-   pid 1 reads both with [scan_of].  Returns the interleavings explored
-   and how many of them the exact checker rejected. *)
-let explore_cross_shard scan_of =
-  let module S = Sim_sharded_range2 in
-  let init = [| -1; -2 |] in
-  let schedules = ref 0 and rejected = ref 0 in
-  let make () =
-    let hist = History.create ~now:Sim.mark () in
-    Sim.reset_prerun_oids ();
-    let t = S.create ~n:2 (Array.copy init) in
-    let updater () =
-      let h = S.handle t ~pid:0 in
-      List.iter
-        (fun (i, v) ->
-          ignore
-            (History.record hist ~pid:0 (Snapshot_spec.Update (i, v))
-               (fun () ->
-                 S.update h i v;
-                 Snapshot_spec.Ack)))
-        [ (0, 10); (1, 11) ]
+(* pid 0 applies [updates] in order; pid 1 reads components 0 and 1
+   with [scan_of].  [run] returns the interleavings explored and how many
+   of them the exact checker rejected, and calls [on_complete] after each
+   complete execution (prefix replays are not complete executions). *)
+module Explore_pair (S : Snapshot.S) = struct
+  let run ?(on_complete = ignore) ~updates scan_of =
+    let init = [| -1; -2 |] in
+    let schedules = ref 0 and rejected = ref 0 in
+    let make () =
+      let hist = History.create ~now:Sim.mark () in
+      Sim.reset_prerun_oids ();
+      let t = S.create ~n:2 (Array.copy init) in
+      let updater () =
+        let h = S.handle t ~pid:0 in
+        List.iter
+          (fun (i, v) ->
+            ignore
+              (History.record hist ~pid:0 (Snapshot_spec.Update (i, v))
+                 (fun () ->
+                   S.update h i v;
+                   Snapshot_spec.Ack)))
+          updates
+      in
+      let scanner () =
+        let h = S.handle t ~pid:1 in
+        ignore
+          (History.record hist ~pid:1 (Snapshot_spec.Scan [| 0; 1 |])
+             (fun () -> Snapshot_spec.Vals (scan_of h)))
+      in
+      ( [| updater; scanner |],
+        fun () ->
+          incr schedules;
+          on_complete ();
+          if not (Snapshot_spec.check ~init (History.entries hist)) then
+            incr rejected )
     in
-    let scanner () =
-      let h = S.handle t ~pid:1 in
-      ignore
-        (History.record hist ~pid:1 (Snapshot_spec.Scan [| 0; 1 |]) (fun () ->
-             Snapshot_spec.Vals (scan_of h)))
-    in
-    ( [| updater; scanner |],
-      fun () ->
-        incr schedules;
-        if not (Snapshot_spec.check ~init (History.entries hist)) then
-          incr rejected )
-  in
-  ignore (Explore.run ~make ());
-  (!schedules, !rejected)
+    ignore (Explore.run ~make ());
+    (!schedules, !rejected)
+end
+
+(* the two components live in different shards *)
+module Cross_pair = Explore_pair (Sim_sharded_range2)
+
+(* component 0, then component 1: a scan reading 0 before the first
+   update and 1 after the second sees a cut that never existed *)
+let both = [ (0, 10); (1, 11) ]
 
 let test_cross_shard_exhaustive () =
   let module S = Sim_sharded_range2 in
   let schedules, rejected =
-    explore_cross_shard (fun h -> S.scan h [| 0; 1 |])
+    Cross_pair.run ~updates:both (fun h -> S.scan h [| 0; 1 |])
   in
   check_bool
     (Printf.sprintf "double collect: %d interleavings explored" schedules)
@@ -334,7 +345,7 @@ let test_cross_shard_exhaustive () =
   (* the same reads without the second collect: the checker must catch
      the torn cut (old component 0, new component 1) *)
   let _, rejected =
-    explore_cross_shard (fun h ->
+    Cross_pair.run ~updates:both (fun h ->
         let v0 = S.read h 0 in
         [| v0; S.read h 1 |])
   in
@@ -343,6 +354,19 @@ let test_cross_shard_exhaustive () =
     true (rejected > 0)
 
 (* ---- cross-shard scans: a retry costs one collect ---- *)
+
+(* The scanner (pid 0) takes the first [head] steps, then the updater
+   (pid 1) runs to completion, then the scanner finishes. *)
+let scanner_then_updater ~head =
+  let picks = ref 0 in
+  {
+    Scheduler.name = "collect-update-collect";
+    pick =
+      (fun v ->
+        incr picks;
+        if !picks > head && Scheduler.is_runnable v 1 then Scheduler.Run 1
+        else Scheduler.Run 0);
+  }
 
 let test_retry_accounting () =
   let module S = Sim_sharded_range2 in
@@ -356,25 +380,131 @@ let test_retry_accounting () =
     collects := S.last_scan_collects h
   in
   let updater () = S.update (S.handle t ~pid:1) 1 7 in
+  let retries0 = Psnap_sched.Metrics.(get Serving.scan_retries) in
   (* the scan's first collect (two reads), then the whole update, then
      the rest of the scan *)
-  let picks = ref 0 in
-  let sched =
-    {
-      Scheduler.name = "collect-update-collect";
-      pick =
-        (fun v ->
-          incr picks;
-          if !picks > 2 && Scheduler.is_runnable v 1 then Scheduler.Run 1
-          else Scheduler.Run 0);
-    }
-  in
-  let retries0 = Psnap_sched.Metrics.(get Serving.scan_retries) in
-  ignore (Sim.run ~sched [| scanner; updater |]);
+  ignore (Sim.run ~sched:(scanner_then_updater ~head:2) [| scanner; updater |]);
   Alcotest.(check (array int)) "scan sees the update" [| -1; 7 |] !out;
   check_int "last_scan_rounds" 3 !rounds;
   check_int "last_scan_collects" 3 !collects;
   check_int "one retry counted" 1
+    (Psnap_sched.Metrics.(get Serving.scan_retries) - retries0)
+
+(* ---- single-shard scans: a double collect, a sub-scan on interference ---- *)
+
+module Sim_sharded_one =
+  Psnap_runtime.Sharded.Make (Mem.Sim) (Sim_fig3)
+    (struct
+      let shards = 1
+      let partition = `Range
+      let mode = `Validated
+    end)
+
+(* both components live in the one shard *)
+module One_pair = Explore_pair (Sim_sharded_one)
+
+(* Every interleaving of one scan with one update, for an update of
+   either component: the update lands before, inside or after the fast
+   path's double collect, so both paths are reached.  (With two updates
+   the fallback's sub-scan and the updater's helping make the space too
+   large to enumerate; the chaos campaigns cover that concurrency.) *)
+let test_single_shard_exhaustive () =
+  let module S = Sim_sharded_one in
+  let fast = ref 0 and fallback = ref 0 and rounds = ref 0 in
+  let on_complete () = incr (if !rounds = 2 then fast else fallback) in
+  List.iter
+    (fun update ->
+      let schedules, rejected =
+        One_pair.run ~on_complete ~updates:[ update ] (fun h ->
+            let vals = S.scan h [| 0; 1 |] in
+            rounds := S.last_scan_rounds h;
+            vals)
+      in
+      check_bool
+        (Printf.sprintf "single shard: %d interleavings explored" schedules)
+        true (schedules >= 100);
+      check_int "single shard: every interleaving linearizable" 0 rejected)
+    both;
+  check_bool (Printf.sprintf "fast path taken in %d" !fast) true (!fast > 0);
+  check_bool
+    (Printf.sprintf "sub-scan fallback taken in %d" !fallback)
+    true (!fallback > 0);
+  (* the same reads without the second collect, against both updates *)
+  let _, rejected =
+    One_pair.run ~updates:both (fun h ->
+        let v0 = S.read h 0 in
+        [| v0; S.read h 1 |])
+  in
+  check_bool
+    (Printf.sprintf "single collect convicted in %d interleavings" rejected)
+    true (rejected > 0)
+
+(* Single-shard scans against a starved scanner: the updater takes many
+   steps between two of the scanner's, so updates land inside the fast
+   path's double collect and inside the fallback's sub-scan, where the
+   updater helps it.  The exact checker judges every history. *)
+let test_single_shard_starved () =
+  let module S = Sim_sharded_one in
+  let init = [| -1; -2 |] in
+  let fallbacks0 = Psnap_sched.Metrics.(get Serving.scan_fallbacks) in
+  for seed = 0 to 19 do
+    let hist = History.create ~now:Sim.mark () in
+    Sim.reset_prerun_oids ();
+    let t = S.create ~n:2 (Array.copy init) in
+    let updater () =
+      let h = S.handle t ~pid:0 in
+      for k = 1 to 6 do
+        let i = k mod 2 and v = 10 * k in
+        ignore
+          (History.record hist ~pid:0 (Snapshot_spec.Update (i, v)) (fun () ->
+               S.update h i v;
+               Snapshot_spec.Ack))
+      done
+    in
+    let scanner () =
+      let h = S.handle t ~pid:1 in
+      for _ = 1 to 3 do
+        ignore
+          (History.record hist ~pid:1 (Snapshot_spec.Scan [| 0; 1 |])
+             (fun () -> Snapshot_spec.Vals (S.scan h [| 0; 1 |])))
+      done
+    in
+    ignore
+      (Sim.run
+         ~sched:(Scheduler.starve ~victims:[ 1 ] ~seed ())
+         [| updater; scanner |]);
+    check_bool
+      (Printf.sprintf "seed %d linearizable (exact checker)" seed)
+      true
+      (Snapshot_spec.check ~init (History.entries hist))
+  done;
+  check_bool "the starved scans fell back" true
+    (Psnap_sched.Metrics.(get Serving.scan_fallbacks) > fallbacks0)
+
+let test_fallback_accounting () =
+  let module S = Sim_sharded_one in
+  Sim.reset_prerun_oids ();
+  let t = S.create ~n:2 [| -1; -2 |] in
+  let rounds = ref 0 and collects = ref 0 and out = ref [||] in
+  let scanner () =
+    let h = S.handle t ~pid:0 in
+    out := S.scan h [| 0; 1 |];
+    rounds := S.last_scan_rounds h;
+    collects := S.last_scan_collects h
+  in
+  let updater () = S.update (S.handle t ~pid:1) 1 7 in
+  let fallbacks0 = Psnap_sched.Metrics.(get Serving.scan_fallbacks) in
+  let retries0 = Psnap_sched.Metrics.(get Serving.scan_retries) in
+  (* the fast path's first collect (two reads), then the whole update,
+     then a disagreeing second collect and one uncontended sub-scan *)
+  ignore (Sim.run ~sched:(scanner_then_updater ~head:2) [| scanner; updater |]);
+  Alcotest.(check (array int)) "scan sees the update" [| -1; 7 |] !out;
+  check_int "last_scan_rounds: two collects and the sub-scan" 3 !rounds;
+  (* an uncontended fig3 sub-scan stops after its first two collects *)
+  check_int "last_scan_collects: 2 + the sub-scan's 2" 4 !collects;
+  check_int "one fallback counted" 1
+    (Psnap_sched.Metrics.(get Serving.scan_fallbacks) - fallbacks0);
+  check_int "the fallback counts as one retry" 1
     (Psnap_sched.Metrics.(get Serving.scan_retries) - retries0)
 
 (* ---- sharded snapshot: chaos-nemesis campaign (observation checker) ---- *)
@@ -400,9 +530,10 @@ let test_sharded_linearizable_under_chaos () =
     in
     let scanner pid () =
       let h = Sim_sharded_fig3.handle t ~pid in
-      (* spans three of the four shards *)
-      let idxs = [| 0; 2; 5 |] in
-      for _ = 1 to 4 do
+      (* alternately spans three of the four shards and stays inside
+         shard 1 *)
+      for k = 1 to 4 do
+        let idxs = if k mod 2 = 1 then [| 0; 2; 5 |] else [| 1; 5 |] in
         ignore
           (History.record hist ~pid (Snapshot_spec.Scan idxs) (fun () ->
                Snapshot_spec.Vals (Sim_sharded_fig3.scan h idxs)))
@@ -582,6 +713,12 @@ let () =
             test_cross_shard_exhaustive;
           Alcotest.test_case "retry costs one collect" `Quick
             test_retry_accounting;
+          Alcotest.test_case "single-shard scan, every interleaving" `Quick
+            test_single_shard_exhaustive;
+          Alcotest.test_case "single-shard scan, starved scanner" `Quick
+            test_single_shard_starved;
+          Alcotest.test_case "interference costs one sub-scan" `Quick
+            test_fallback_accounting;
           Alcotest.test_case "linearizable under chaos (25 seeds)" `Quick
             test_sharded_linearizable_under_chaos;
           Alcotest.test_case "e17 witness replays to a violation" `Quick

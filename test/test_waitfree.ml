@@ -19,9 +19,10 @@ let fig3_scan_budget r = ((2 * r) + 1) * r + 7
 (* A scan measurement harness: [updaters] storm components while one
    scanner performs [scans] measured scans of [idxs]; returns max steps and
    max collects over the scans. *)
-let measure_scans (sched_of : int -> Scheduler.t) ~seeds ~m ~updaters ~updates
-    ~idxs ~scans =
-  let module S = Sim_fig3 in
+let measure_scans ?(impl = (module Sim_fig3 : Snapshot.S))
+    (sched_of : int -> Scheduler.t) ~seeds ~m ~updaters ~updates ~idxs ~scans
+    =
+  let module S = (val impl) in
   let worst_steps = ref 0 and worst_collects = ref 0 in
   for seed = 0 to seeds - 1 do
     let t = S.create ~n:(updaters + 1) (Array.init m (fun i -> -i - 1)) in
@@ -102,6 +103,37 @@ let test_fig3_scan_independent_of_updater_count () =
   let a = run 2 and b = run 8 in
   check_bool (Printf.sprintf "2 updaters: %d" a) true (a <= fig3_scan_budget r);
   check_bool (Printf.sprintf "8 updaters: %d" b) true (b <= fig3_scan_budget r)
+
+(* Sharded single-shard scans: a double collect (2 collects of r reads)
+   and, only if an update interfered, one Figure 3 sub-scan — so at most
+   2 + (2r+1) = 2r+3 collects and 2r + fig3_scan_budget r steps, however
+   the updaters of the shard are scheduled. *)
+let test_sharded_single_shard_bound () =
+  let fallbacks0 = Psnap_sched.Metrics.(get Serving.scan_fallbacks) in
+  List.iter
+    (fun r ->
+      (* round-robin over 4 shards: components 1, 5, 9, ... share shard 1 *)
+      let idxs = Array.init r (fun k -> 1 + (4 * k)) in
+      let steps, collects =
+        measure_scans ~impl:(module Sim_sharded_fig3)
+          (fun seed -> Scheduler.starve ~victims:[ 4 ] ~seed ())
+          ~seeds:15 ~m:32 ~updaters:4 ~updates:60 ~idxs ~scans:5
+      in
+      check_bool
+        (Printf.sprintf "r=%d: collects %d <= %d" r collects ((2 * r) + 3))
+        true
+        (collects <= (2 * r) + 3);
+      let budget = (2 * r) + fig3_scan_budget r in
+      check_bool
+        (Printf.sprintf "r=%d: steps %d <= %d" r steps budget)
+        true (steps <= budget))
+    [ 1; 2; 4; 8 ];
+  let fallbacks =
+    Psnap_sched.Metrics.(get Serving.scan_fallbacks) - fallbacks0
+  in
+  check_bool
+    (Printf.sprintf "contention forced %d sub-scan fallbacks" fallbacks)
+    true (fallbacks > 0)
 
 (* Figure 1: scans are wait-free with a contention-dependent bound —
    collects <= 2*Cu + 1 where Cu is the number of update operations
@@ -332,6 +364,11 @@ let () =
           Alcotest.test_case "independent of updaters" `Quick
             test_fig3_scan_independent_of_updater_count;
           Alcotest.test_case "solo scan cost" `Quick test_fig3_solo_scan_cost;
+        ] );
+      ( "sharded",
+        [
+          Alcotest.test_case "single-shard scan bound 2r+3 collects" `Quick
+            test_sharded_single_shard_bound;
         ] );
       ( "fig1",
         [
