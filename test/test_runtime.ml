@@ -530,10 +530,10 @@ let test_sharded_linearizable_under_chaos () =
     in
     let scanner pid () =
       let h = Sim_sharded_fig3.handle t ~pid in
-      (* alternately spans three of the four shards and stays inside
-         shard 1 *)
-      for k = 1 to 4 do
-        let idxs = if k mod 2 = 1 then [| 0; 2; 5 |] else [| 1; 5 |] in
+      (* four scans spanning three of the four shards, then four staying
+         inside shard 1 *)
+      for k = 1 to 8 do
+        let idxs = if k <= 4 then [| 0; 2; 5 |] else [| 1; 5 |] in
         ignore
           (History.record hist ~pid (Snapshot_spec.Scan idxs) (fun () ->
                Snapshot_spec.Vals (Sim_sharded_fig3.scan h idxs)))
