@@ -8,8 +8,8 @@
    --impl sharded builds the sharded Figure 3 construction with the
    requested shard count at runtime; the flat implementations (fig1,
    fig3, afek, farray) take the same workload for comparison.  JSON
-   summaries land wherever --json points (CI uses _artifacts/) and feed
-   the BENCH_runtime.json trajectory. *)
+   summaries land wherever --json points (CI uses _artifacts/); the
+   steady, traced measure of the same stacks is perfbench/. *)
 
 open Psnap
 module Table = Psnap_harness.Table
@@ -412,7 +412,7 @@ let run impl_name mem_backend replicas shards partition_name m r domains
       (* replicated backend: the same Figure 3 code, but every register is
          an ABD quorum register served by [replicas] replica domains over
          the mutex-guarded message transport.  Throughput against
-         --mem raw prices the quorum rounds (BENCH_runtime.json). *)
+         --mem raw prices the quorum rounds (EXPERIMENTS.md E19). *)
       if impl_name <> "fig3" then begin
         Printf.eprintf
           "--mem net supports --impl fig3 only (the replicated service)\n";

@@ -102,8 +102,28 @@ type 'v execution = {
 let execute ?(record_trace = false) sc ~sched =
   let rec_ = Metrics.create () in
   let w = sc.build rec_ in
-  let result = Sim.run ~record_trace ~recover:w.recover ~sched w.procs in
+  let result =
+    Sim.run ~record_trace ~max_steps:sc.max_steps ~recover:w.recover ~sched
+      w.procs
+  in
   { result; violations = w.harvest (); samples = Metrics.samples rec_ }
+
+type 'v verdict =
+  | Clean
+  | Violations of 'v list
+  | Did_not_terminate
+  | Raised of exn
+
+let judge run =
+  match run () with
+  | [] -> Clean
+  | vs -> Violations vs
+  | exception Sim.Out_of_steps _ -> Did_not_terminate
+  | exception e -> Raised e
+
+let convicts = function
+  | Clean -> false
+  | Violations _ | Did_not_terminate | Raised _ -> true
 
 let write_json path fields =
   let oc = open_out path in
@@ -187,6 +207,11 @@ let run cfg sc =
           failing := Some (Trace.schedule res.Sim.trace)
       end;
       Some res
+    | exception Sim.Out_of_steps _ ->
+      incr violations;
+      Printf.printf "%s: did not terminate within %d steps\n" label
+        sc.max_steps;
+      None
     | exception e ->
       incr violations;
       Printf.printf "%s: harness crash: %s\n" label (Printexc.to_string e);
@@ -237,11 +262,10 @@ let run cfg sc =
   let report = sc.report () in
   let readings = List.map Metrics.read sc.groups in
   let mf = Metrics.mem_faults () in
-  let fails decisions =
-    match execute sc ~sched:(replay_sched decisions) with
-    | x -> x.violations <> []
-    | exception _ -> true
+  let verdict decisions =
+    judge (fun () -> (execute sc ~sched:(replay_sched decisions)).violations)
   in
+  let fails decisions = convicts (verdict decisions) in
   let shrunk =
     match !failing with
     | None -> None
@@ -252,8 +276,14 @@ let run cfg sc =
       None
     | Some schedule ->
       let minimal, calls = Shrink.minimize ~oracle:fails schedule in
-      Printf.printf "shrink: %d decisions -> %d minimal (%d oracle runs)\n"
-        (List.length schedule) (List.length minimal) calls;
+      Printf.printf "shrink: %d decisions -> %d minimal (%d oracle runs): %s\n"
+        (List.length schedule) (List.length minimal) calls
+        (match verdict minimal with
+        | Violations vs -> Printf.sprintf "%d violations" (List.length vs)
+        | Did_not_terminate ->
+          Printf.sprintf "does not terminate within %d steps" sc.max_steps
+        | Raised e -> "raises " ^ Printexc.to_string e
+        | Clean -> "clean (nondeterministic replay)");
       List.iter
         (fun d -> print_endline (Scheduler.decision_to_string d))
         minimal;

@@ -6,8 +6,10 @@
 
     Scheduler composition, innermost first: the base policy, [nemesis],
     the memory-fault storm, the scenario's own nemeses, power loss, and
-    the halting crash of pid 0.  A harness exception in any execution
-    counts as one violation and the campaign carries on. *)
+    the halting crash of pid 0.  An execution that exhausts the
+    scenario's step budget is reported as not terminating; it, like a
+    harness exception, counts as one violation and the campaign carries
+    on. *)
 
 open Psnap
 
@@ -48,7 +50,26 @@ type 'v execution = {
 
 val execute :
   ?record_trace:bool -> 'v Scenario.t -> sched:Scheduler.t -> 'v execution
-(** One execution in a fresh world. *)
+(** One execution in a fresh world, within the scenario's step budget
+    ({!Scenario.t.max_steps}).
+    @raise Sim.Out_of_steps if it exhausts the budget. *)
+
+(** What one execution showed.  Every verdict but [Clean] convicts the
+    object under test: a livelock under memory corruption is a failure
+    too, but it is reported as one, not as a violation of the oracle. *)
+type 'v verdict =
+  | Clean
+  | Violations of 'v list  (** the oracle's, non-empty *)
+  | Did_not_terminate  (** the run exhausted its step budget *)
+  | Raised of exn
+      (** the run raised, e.g. a garbled value escaped as an exception *)
+
+val judge : (unit -> 'v list) -> 'v verdict
+(** [judge run] runs one execution that returns the oracle's
+    violations. *)
+
+val convicts : 'v verdict -> bool
+(** Anything but [Clean]: the shrinker's oracle. *)
 
 val run : config -> 'v Scenario.t -> int
 (** The whole campaign; returns the exit code (0 pass, 1 fail).

@@ -44,6 +44,7 @@ type 'v t = {
   checked : bool;
   expected : string;
   report : unit -> report;
+  max_steps : int;
 }
 
 type power = No_power_loss | Power_at of int | Power_storm | Power_sweep
@@ -55,6 +56,14 @@ let int = string_of_int
 let str = Printf.sprintf "%S"
 
 (* ---- the standard snapshot workload ---- *)
+
+(* Generous for every scenario's terminating executions (their busiest
+   CI campaigns stay far below it), so an execution that exhausts it is
+   judged not to terminate. *)
+let steps_per_op = 10_000
+
+let step_budget w =
+  steps_per_op * max 1 ((w.updaters * w.updates) + (w.scanners * w.scans))
 
 let check_shape w =
   if w.r > w.m then usage "r (%d) must be <= m (%d)" w.r w.m
@@ -133,6 +142,7 @@ let base ~pp_violation w ~impl ~shape ~groups ~build ~report =
     checked = true;
     expected = "";
     report;
+    max_steps = step_budget w;
   }
 
 let linearizable t =

@@ -74,7 +74,17 @@ type 'v t = {
   checked : bool;  (** an oracle runs ([false]: harvest returns [[]]) *)
   expected : string;  (** why the unsound mode violates *)
   report : unit -> report;
+  max_steps : int;
+      (** step budget of one execution, {!step_budget} of the workload:
+          an execution that exhausts it did not terminate *)
 }
+
+val step_budget : workload -> int
+(** [10_000] steps per operation of the workload ([updaters * updates +
+    scanners * scans]).  A wait-free run's length is bounded by its
+    operation count, and the busiest terminating executions of every
+    scenario stay far below this budget; a livelocked one (raw registers
+    under memory corruption) reaches it in a fraction of a second. *)
 
 (** Power-loss injection of a campaign: one blackout at a clock value,
     seeded blackouts, or per seed a baseline plus one blackout at every

@@ -14,7 +14,11 @@
    decoded, and each complete triple resets the base to its sealed view,
    discarding what was applied before it.  The triple that is last when
    the fold ends is therefore the one recovered from.  Damage repair
-   happens in the same pass ([Wal.Make.fold ~repair]). *)
+   happens in the same pass ([Wal.Make.fold ~repair]).
+
+   This is where the log's payloads are unmarshalled: component values
+   and sealed views.  [Wal.fold] hands over only payloads that passed the
+   frame's checksum and hold exactly one marshalled value. *)
 
 type 'a state = {
   values : 'a array;  (** recovered component values *)

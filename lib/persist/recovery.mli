@@ -19,8 +19,10 @@ type 'a state = {
 
 val replay : init:'a array -> Wal.record list -> 'a state
 (** The fold {!Make.load} runs over a device, here over a record list
-    (assumed to be a valid log prefix).  A complete triple resets the
-    base to its sealed view; updates apply under the lsn filter. *)
+    (assumed to be a valid log prefix, as {!Wal.decode_all} returns it:
+    every payload is exactly one marshalled value, and it is
+    unmarshalled here).  A complete triple resets the base to its sealed
+    view; updates apply under the lsn filter. *)
 
 (** Device-level recovery: read, repair the tail and replay in one
     {!Wal.Make.fold} (no record list is built), then account (the

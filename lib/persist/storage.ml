@@ -158,13 +158,20 @@ module Mc = struct
     Mutex.lock t.lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
+  (* The two per-commit operations lock and unlock directly, without a
+     [Fun.protect] closure per call: neither body raises, short of running
+     out of memory. *)
   let append t s =
-    locked t (fun () -> Buffer.add_string t.buf s);
+    Mutex.lock t.lock;
+    Buffer.add_string t.buf s;
+    Mutex.unlock t.lock;
     Metrics.incr Metrics.Durable.wal_appends;
     Metrics.add Metrics.Durable.wal_bytes (String.length s)
 
   let sync t =
-    locked t (fun () -> t.synced <- Buffer.length t.buf);
+    Mutex.lock t.lock;
+    t.synced <- Buffer.length t.buf;
+    Mutex.unlock t.lock;
     Metrics.incr Metrics.Durable.wal_syncs
 
   let size t = locked t (fun () -> Buffer.length t.buf)

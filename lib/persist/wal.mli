@@ -1,14 +1,21 @@
 (** Checksummed, length-prefixed WAL records (docs/MODEL.md §13).
 
     Each record is framed as an 18-byte ASCII header — [%08x %08x ] of
-    (body length, FNV-1a-32 checksum of the body) — followed by the
-    marshalled record body.  The checksum is verified {e before} the body
-    is unmarshalled, so corrupt frames never reach [Marshal.from_string];
-    a body is unmarshalled in place, and only if the marshalled value it
-    holds is exactly the frame's length.  Decoding ({!fold}) stops at the
-    first damaged frame, distinguishing a {e torn} tail (incomplete header
-    or body — what a power loss leaves) from an in-place {e corruption}
-    (checksum, header or size mismatch). *)
+    (body length, {!checksum} of the body) — followed by a binary body:
+    one kind byte (['U'], ['S'], ['B'] or ['E']), the kind's integers as
+    8-byte little-endian words ([Update]: lsn, pid, index; [Scan_seal]:
+    gen; [Checkpoint_begin]: gen, next_lsn; [Checkpoint_end]: gen), and
+    for [Update] and [Scan_seal] the payload bytes, running to the end of
+    the body.  Neither encoding nor decoding marshals anything.
+
+    Decoding ({!fold}) stops at the first damaged frame, distinguishing a
+    {e torn} tail (incomplete header or body — what a power loss leaves)
+    from an in-place {e corruption}: a header that is not hex, a checksum
+    mismatch, an unknown kind byte, a body too short or too long for its
+    kind, or a payload that is not exactly one marshalled value
+    ([Marshal.total_size] equal to its length).  So a payload that
+    decodes has passed the checksum and the size check, and only then may
+    recovery hand it to [Marshal.from_string]. *)
 
 type record =
   | Update of { lsn : int; pid : int; index : int; payload : string }
@@ -34,7 +41,11 @@ type decoded = {
 }
 
 val checksum : string -> int
-(** FNV-1a, 32-bit. *)
+(** A 32-bit checksum over 4-byte little-endian words (the last one
+    zero-padded), then the length: MurmurHash3's block step and
+    finaliser.  For a fixed word each step is a bijection of the running
+    state, and for a fixed state an injection of the word, so any change
+    confined to one word is always detected. *)
 
 val header_len : int
 

@@ -1,7 +1,8 @@
 (* Tests of the campaign loop (lib/harness/campaign.ml): every committed
    witness schedule replays through it to the documented verdict in both
-   its unsound and its sound mode, and the simulate CLI honours the
-   replay, shrink and expect-violations flags in every campaign. *)
+   its unsound and its sound mode, an execution past its step budget is
+   judged not to terminate, and the simulate CLI honours the replay,
+   shrink and expect-violations flags in every campaign. *)
 
 open Psnap
 open Psnap_harness
@@ -96,6 +97,28 @@ let witness_cases =
         (reconfig Net.Reconfig.Fenced);
     ]
 
+(* ---- the step budget ---- *)
+
+(* An execution that exhausts its scenario's step budget did not
+   terminate: its own verdict, not an oracle violation or an exception,
+   and it fails the campaign.  The default budget completes the same
+   run. *)
+let test_step_budget () =
+  let verdict sc =
+    Campaign.judge (fun () ->
+        (Campaign.execute sc ~sched:(Scheduler.random ~seed:0 ()))
+          .Campaign.violations)
+  in
+  let starved = { (flat (module Sim_fig3) ()) with Scenario.max_steps = 10 } in
+  (match verdict starved with
+  | Campaign.Did_not_terminate -> ()
+  | _ -> Alcotest.fail "a run past its budget must not terminate");
+  check_int "exit status" 1
+    (Campaign.run { Campaign.default with seeds = 1 } starved);
+  match verdict (flat (module Sim_fig3) ()) with
+  | Campaign.Clean -> ()
+  | _ -> Alcotest.fail "the default budget completes the run"
+
 (* ---- the CLI: flags mean the same in every campaign ---- *)
 
 let simulate args =
@@ -152,6 +175,11 @@ let () =
   Alcotest.run "campaign"
     [
       ("witnesses", witness_cases);
+      ( "budget",
+        [
+          Alcotest.test_case "a run past its step budget did not terminate"
+            `Quick test_step_budget;
+        ] );
       ( "cli",
         [
           Alcotest.test_case "resilient honours --expect-violations" `Quick

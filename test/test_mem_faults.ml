@@ -261,6 +261,12 @@ let test_mem_storm_injects_and_is_bounded () =
 
 (* ---- E15, destructive half: raw Figure 3 breaks under corruption ---- *)
 
+(* Corruption can livelock raw Figure 3; a run gets the step budget of
+   its workload's shape (2 updaters x 5 updates, 1 scanner x 3 scans). *)
+let e15_budget =
+  Psnap_harness.Scenario.step_budget
+    { m = 6; r = 3; updaters = 2; updates = 5; scanners = 1; scans = 3 }
+
 let fig3_mem_fault_run ~record_trace ~sched =
   let module S = Sim_fig3 in
   let m = 6 in
@@ -289,7 +295,7 @@ let fig3_mem_fault_run ~record_trace ~sched =
     done
   in
   let procs = [| updater 0; updater 1; scanner 2 |] in
-  let res = Sim.run ~record_trace ~sched procs in
+  let res = Sim.run ~record_trace ~max_steps:e15_budget ~sched procs in
   (res, Snapshot_spec.check_observations ~init (History.entries hist))
 
 let storm_sched seed =
@@ -307,13 +313,17 @@ let find_failing_seed ~seeds =
   in
   go 0
 
+(* A violation, a livelock past the budget and an escaped garbled value
+   all convict. *)
 let raw_fig3_fails decisions =
-  match
-    fig3_mem_fault_run ~record_trace:false
-      ~sched:(Scheduler.replay_decisions ~lenient:true ~fallback:(rr ()) decisions)
-  with
-  | _, viols -> viols <> []
-  | exception _ -> true
+  Psnap_harness.Campaign.(
+    convicts
+      (judge (fun () ->
+           snd
+             (fig3_mem_fault_run ~record_trace:false
+                ~sched:
+                  (Scheduler.replay_decisions ~lenient:true ~fallback:(rr ())
+                     decisions)))))
 
 let test_raw_fig3_breaks_and_shrinks () =
   match find_failing_seed ~seeds:300 with

@@ -1,7 +1,8 @@
 (* Tests of the durability layer (lib/persist): WAL framing edge cases
-   (golden frame bytes, empty log, torn tail, checksum corruption
-   mid-log, a checksummed body with a trailing byte, checkpoint-begin
-   without end, duplicate-lsn dedup, double-recovery idempotence), the
+   (golden frame bytes, the checksum's test vectors, empty log, torn
+   tail, checksum corruption mid-log, checksummed bodies of the wrong
+   shape, every single-bit flip of a frame, checkpoint-begin without
+   end, duplicate-lsn dedup, double-recovery idempotence), the
    one-pass replay against the two-walk reference on random logs, what a
    checkpoint seals, the checkpoint triple, and the durable snapshot
    under simulated power losses — a mini exhaustive sweep (a blackout at
@@ -285,59 +286,126 @@ let test_double_recovery_idempotent () =
   check_int "same next lsn" st1.Recovery.next_lsn st2.Recovery.next_lsn;
   check_int "same replay count" st1.Recovery.replayed st2.Recovery.replayed
 
-(* The frame bytes are pinned: [encode] must produce exactly the
-   [Printf] framing, for every record kind and for a seal large enough to
-   need all eight hex digits' worth of headroom. *)
-let golden_frame r =
-  let body = Marshal.to_string r [] in
-  Printf.sprintf "%08x %08x %s" (String.length body) (Wal.checksum body) body
+(* The frame bytes are pinned, for every record kind: the hex header,
+   the kind byte, the little-endian words (a multi-byte one and a
+   negative one too) and the payload.  The payloads are the marshalled
+   42, max_int and [| 1; 2 |]. *)
+let golden_frames =
+  [
+    ( Wal.Update { lsn = 7; pid = 2; index = 3; payload = pay 42 },
+      "0000002e 069a191a U\007\000\000\000\000\000\000\000\002\000\000\000\000\
+       \000\000\000\003\000\000\000\000\000\000\000\132\149\166\190\000\000\
+       \000\001\000\000\000\000\000\000\000\000\000\000\000\000j" );
+    ( Wal.Update { lsn = 0x1234_5678; pid = 0; index = -1; payload = pay max_int },
+      "00000036 d34a7887 UxV4\018\000\000\000\000\000\000\000\000\000\000\000\000\
+       \255\255\255\255\255\255\255\255\132\149\166\190\000\000\000\t\000\000\
+       \000\000\000\000\000\000\000\000\000\000\003?\255\255\255\255\255\255\255" );
+    ( Wal.Scan_seal { gen = 1; payload = Marshal.to_string [| 1; 2 |] [] },
+      "00000020 6b5d8a9f S\001\000\000\000\000\000\000\000\132\149\166\190\
+       \000\000\000\003\000\000\000\001\000\000\000\003\000\000\000\003\160AB"
+    );
+    ( Wal.Checkpoint_begin { gen = 3; next_lsn = 99 },
+      "00000011 e5989801 B\003\000\000\000\000\000\000\000c\000\000\000\000\000\
+       \000\000" );
+    ( Wal.Checkpoint_end { gen = 3 },
+      "00000009 8baff750 E\003\000\000\000\000\000\000\000" );
+  ]
 
 let test_golden_frames () =
-  let big_view = Marshal.to_string (Array.init 65_536 (fun i -> i * 7919)) [] in
-  check_bool "the big seal is at least 300 KB" true
-    (String.length big_view >= 300_000);
-  let records =
-    [
-      Wal.Update { lsn = 7; pid = 2; index = 3; payload = pay 42 };
-      Wal.Update { lsn = 0x1234_5678; pid = 0; index = 0; payload = "" };
-      Wal.Scan_seal { gen = 1; payload = Marshal.to_string [| 1; 2 |] [] };
-      Wal.Scan_seal { gen = 2; payload = big_view };
-      Wal.Checkpoint_begin { gen = 3; next_lsn = 99 };
-      Wal.Checkpoint_end { gen = 3 };
-    ]
-  in
   List.iter
-    (fun r ->
-      if Wal.encode r <> golden_frame r then
-        Alcotest.failf "frame of %a differs from the printf framing"
-          Wal.pp_record r)
-    records;
+    (fun (r, want) ->
+      if Wal.encode r <> want then
+        Alcotest.failf "frame of %a: got %S" Wal.pp_record r (Wal.encode r))
+    golden_frames;
+  (* a seal of m = 65 536 components: its header and first bytes *)
+  let big_view = Marshal.to_string (Array.init 65_536 (fun i -> i * 7919)) [] in
+  let big = Wal.Scan_seal { gen = 2; payload = big_view } in
+  let frame = Wal.encode big in
+  check_int "the big seal's frame" 327_720 (String.length frame);
+  Alcotest.(check string)
+    "the big seal's first bytes"
+    "00050016 b223dfb0 S\002\000\000\000\000\000\000\000\132\149\166\190"
+    (String.sub frame 0 31);
+  let records = List.map fst golden_frames @ [ big ] in
   let d = Wal.decode_all (String.concat "" (List.map Wal.encode records)) in
   check_bool "clean" true (d.Wal.damage = Wal.Clean);
   check_bool "records decode back" true (d.Wal.records = records)
 
-(* A checksum only covers the bytes it is given: a body holding a whole
-   marshalled record plus one trailing byte (or minus its last byte)
-   checksums fine, and must still be refused before it is unmarshalled in
-   place. *)
-let test_checksummed_but_missized () =
-  let r = upd ~lsn:1 ~index:0 10 in
-  let frame body =
-    Printf.sprintf "%08x %08x %s" (String.length body) (Wal.checksum body) body
-  in
-  let body = Marshal.to_string r [] in
-  let good = Wal.encode r in
+(* The checksum is MurmurHash3_x86_32 with seed 0: its published test
+   vectors. *)
+let test_checksum_vectors () =
   List.iter
-    (fun (what, bad) ->
-      let d = Wal.decode_all (good ^ bad) in
+    (fun (s, want) -> check_int (Printf.sprintf "%S" s) want (Wal.checksum s))
+    [
+      ("", 0);
+      ("a", 0x3c2569b2);
+      ("hello", 0x248bfa47);
+      ("The quick brown fox jumps over the lazy dog", 0x2e4ff723);
+    ]
+
+(* A frame around any body, checksummed correctly. *)
+let frame body =
+  Printf.sprintf "%08x %08x %s" (String.length body) (Wal.checksum body) body
+
+let word v =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.of_int v);
+  Bytes.to_string b
+
+(* A checksum only covers the bytes it is given: each body below
+   checksums fine and must still be refused, at its own frame, before any
+   of it is unmarshalled. *)
+let test_checksummed_but_missized () =
+  let good = Wal.encode (upd ~lsn:1 ~index:0 10) in
+  let update_prefix = "U" ^ word 2 ^ word 0 ^ word 1 in
+  let seal_prefix = "S" ^ word 1 in
+  let p = pay 20 in
+  List.iter
+    (fun (what, body) ->
+      let d = Wal.decode_all (good ^ frame body ^ good) in
       check_bool (what ^ ": corrupt") true (d.Wal.damage = Wal.Corrupt);
       check_int (what ^ ": only the good frame decodes") 1
         (List.length d.Wal.records);
       check_int (what ^ ": good_bytes") (String.length good) d.Wal.good_bytes)
     [
-      ("trailing byte", frame (body ^ "\000"));
-      ("short body", frame (String.sub body 0 (String.length body - 1)));
-      ("shorter than a marshal header", frame "x");
+      ("empty body", "");
+      ("begin with a trailing byte", "B" ^ word 1 ^ word 2 ^ "\000");
+      ("begin one byte short", "B" ^ word 1 ^ String.sub (word 2) 0 7);
+      ("end with a trailing byte", "E" ^ word 1 ^ "\000");
+      ("update shorter than its prefix", String.sub update_prefix 0 24);
+      ("update with no payload", update_prefix);
+      ("unknown kind", "X" ^ word 1 ^ word 2);
+      ("payload with a trailing byte", update_prefix ^ p ^ "\000");
+      ("payload one byte short",
+        update_prefix ^ String.sub p 0 (String.length p - 1));
+      ("two payloads", update_prefix ^ p ^ p);
+      ("payload not marshalled", update_prefix ^ "not a marshalled value");
+      ("seal payload with a trailing byte", seal_prefix ^ pay 7 ^ "\000");
+      ("seal payload not marshalled", seal_prefix ^ String.make 40 '\000');
+    ]
+
+(* Flip every bit of one frame, in front of a good one: each flip must be
+   caught at the flipped frame (a longer length reads as a torn frame,
+   anything else as corruption), never decoded as some other record. *)
+let test_bit_flips () =
+  let tail = Wal.encode (upd ~lsn:9 ~index:1 5) in
+  List.iter
+    (fun r ->
+      let f = Wal.encode r in
+      for bit = 0 to (8 * String.length f) - 1 do
+        let b = Bytes.of_string f in
+        let i = bit / 8 in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+        let d = Wal.decode_all (Bytes.to_string b ^ tail) in
+        if d.Wal.records <> [] || d.Wal.good_bytes <> 0
+           || d.Wal.damage = Wal.Clean
+        then
+          Alcotest.failf "%a: flipping bit %d decodes %d records" Wal.pp_record
+            r bit (List.length d.Wal.records)
+      done)
+    [
+      Wal.Update { lsn = 7; pid = 2; index = 3; payload = pay 42 };
+      Wal.Checkpoint_begin { gen = 3; next_lsn = 99 };
     ]
 
 let test_has_lsn () =
@@ -499,8 +567,10 @@ let () =
           Alcotest.test_case "torn tail" `Quick test_torn_tail;
           Alcotest.test_case "corrupt mid-log" `Quick test_corrupt_mid_log;
           Alcotest.test_case "golden frames" `Quick test_golden_frames;
+          Alcotest.test_case "checksum vectors" `Quick test_checksum_vectors;
           Alcotest.test_case "checksummed but missized body" `Quick
             test_checksummed_but_missized;
+          Alcotest.test_case "every bit flip is caught" `Quick test_bit_flips;
           Alcotest.test_case "has_lsn" `Quick test_has_lsn;
         ] );
       ( "recovery",

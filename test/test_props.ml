@@ -3,7 +3,7 @@
    scheduler family and seed); each case runs a full simulated execution
    and checks the recorded history.  One property per implementation for
    snapshots (observation checker) and one per active set implementation
-   (interval-semantics checker). *)
+   (interval-semantics checker); plus one over WAL frames. *)
 
 open Psnap
 
@@ -185,6 +185,71 @@ let values_belong_prop =
       ignore (Sim.run ~sched:(scheduler_of w) procs);
       !ok)
 
+(* WAL frames: a random record list round-trips through [encode] and
+   [decode_all], and every strict prefix of its log — what a power loss
+   can leave — decodes to the whole frames before the cut, torn unless the
+   cut falls between two frames. *)
+let wal_record_gen =
+  let module Wal = Persist.Wal in
+  QCheck2.Gen.(
+    let payload =
+      oneof
+        [
+          map (fun (v : int) -> Marshal.to_string v []) int;
+          map (fun (s : string) -> Marshal.to_string s []) string_small;
+          map
+            (fun (a : int array) -> Marshal.to_string a [])
+            (array_size (int_range 0 20) int);
+        ]
+    in
+    let* kind = int_range 0 3 in
+    match kind with
+    | 0 ->
+      let* lsn = int and* pid = int and* index = int and* payload = payload in
+      return (Wal.Update { lsn; pid; index; payload })
+    | 1 ->
+      let* gen = int and* payload = payload in
+      return (Wal.Scan_seal { gen; payload })
+    | 2 ->
+      let* gen = int and* next_lsn = int in
+      return (Wal.Checkpoint_begin { gen; next_lsn })
+    | _ ->
+      let* gen = int in
+      return (Wal.Checkpoint_end { gen }))
+
+let wal_prop =
+  let module Wal = Persist.Wal in
+  QCheck2.Test.make ~name:"wal frames round-trip, prefixes tear at a frame"
+    ~count:100
+    ~print:(fun rs -> Fmt.str "%a" Fmt.(Dump.list Wal.pp_record) rs)
+    QCheck2.Gen.(list_size (int_range 0 8) wal_record_gen)
+    (fun records ->
+      let frames = List.map Wal.encode records in
+      let log = String.concat "" frames in
+      let whole = Wal.decode_all log in
+      (* [ends.(k)]: the log offset after the first [k] frames *)
+      let ends =
+        Array.of_list
+          (List.rev
+             (List.fold_left
+                (fun acc f -> (List.hd acc + String.length f) :: acc)
+                [ 0 ] frames))
+      in
+      let prefix_ok cut =
+        let d = Wal.decode_all (String.sub log 0 cut) in
+        let k = ref 0 in
+        while ends.(!k + 1) <= cut do
+          incr k
+        done;
+        d.Wal.good_bytes = ends.(!k)
+        && d.Wal.records = List.filteri (fun i _ -> i < !k) records
+        && d.Wal.damage = if cut = ends.(!k) then Wal.Clean else Wal.Torn
+      in
+      whole.Wal.damage = Wal.Clean
+      && whole.Wal.records = records
+      && whole.Wal.good_bytes = String.length log
+      && List.for_all prefix_ok (List.init (String.length log) Fun.id))
+
 let snapshot_impls : (string * (module SNAP)) list =
   [
     ("afek", (module Sim_afek));
@@ -224,4 +289,5 @@ let () =
           aset_impls );
       ( "values",
         [ QCheck_alcotest.to_alcotest values_belong_prop ] );
+      ("wal", [ QCheck_alcotest.to_alcotest wal_prop ]);
     ]
