@@ -163,7 +163,11 @@ chaos-runtime:
 # the sweep or the storm reads any record as corrupt (a power loss only
 # tears the log's tail, so a corrupt record is a codec bug), or if the two
 # together tear none (some storm seeds, e.g. 600, tear nothing; every
-# sweep does); the late-log run demonstrates the oracle
+# sweep does).  It also fails unless the storm rebuilt from the log at
+# least once and both runs replayed a non-empty update suffix (at seeds
+# 0/300/600 the storm recovers 40 times and replays 69-81 updates, the
+# sweep 1687-1959), so recovery's fold demonstrably ran under power loss;
+# the late-log run demonstrates the oracle
 # actually catches committed-then-lost recovery bugs (its shrunk witness
 # lands in _artifacts/; the committed reference witness lives in
 # schedules/); the loadgen run prices the WAL against plain fig3.
@@ -185,7 +189,11 @@ chaos-durable:
 	    else 'a power loss only tears tails: corrupt_records > 0 is a codec bug' \
 	      if sw['corrupt_records'] + st['corrupt_records'] > 0 \
 	    else 'sweep and storm tore no record: torn tails were never recovered' \
-	      if sw['torn_records'] + st['torn_records'] == 0 else 0)"
+	      if sw['torn_records'] + st['torn_records'] == 0 \
+	    else 'storm run recovered nothing: its blackouts were never rebuilt' \
+	      if st['recoveries'] == 0 \
+	    else 'sweep or storm replayed no update: recovery never ran a suffix' \
+	      if min(sw['replayed_updates'], st['replayed_updates']) == 0 else 0)"
 	dune exec bin/simulate.exe -- --impl durable -m 4 -r 4 --updaters 1 \
 	  --updates 3 --scanners 2 --scans 6 --power-loss sweep \
 	  --wal-mode late-log --expect-violations --shrink \

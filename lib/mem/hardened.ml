@@ -116,9 +116,9 @@ module Selfcheck (M : Mem_intf.S) : Mem_intf.S = struct
      interleaving within an operation's local code). *)
   type 'a ref_ = { cell : 'a tagged M.ref_; mutable cache : 'a tagged }
 
-  let make ?(name = "hard") v =
+  let make ?(name = "hard") ?index v =
     let t0 = tag ~seq:1 v in
-    { cell = M.make ~name t0; cache = t0 }
+    { cell = M.make ~name ?index t0; cache = t0 }
 
   let seen t cur = if newer cur t.cache then t.cache <- cur
 
@@ -258,8 +258,9 @@ end) : Mem_intf.S = struct
                                advanced when that replica is found stuck *)
   }
 
-  let make ?(name = "rep") v =
+  let make ?(name = "rep") ?index v =
     let t0 = tag ~seq:1 v in
+    let name = Mem_intf.label ?index name in
     {
       cells =
         Array.init K.k (fun i ->

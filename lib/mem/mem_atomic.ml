@@ -3,9 +3,7 @@
 
 type 'a ref_ = 'a Atomic.t
 
-let make ?name v =
-  ignore name;
-  Atomic.make v
+let make ?name:_ ?index:_ v = Atomic.make v
 
 let read = Atomic.get
 let write = Atomic.set

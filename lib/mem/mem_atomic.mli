@@ -7,12 +7,12 @@
     loadgen) can interoperate with plain [Atomic] values.
 
     [cas] compares with physical equality ([==]), matching the
-    simulator backend; [~name] labels are accepted for interface
-    compatibility and ignored. *)
+    simulator backend; [~name] and [~index] labels are accepted for
+    interface compatibility and ignored, so nothing is formatted. *)
 
 type 'a ref_ = 'a Atomic.t
 
-val make : ?name:string -> 'a -> 'a ref_
+val make : ?name:string -> ?index:int -> 'a -> 'a ref_
 
 val read : 'a ref_ -> 'a
 

@@ -23,10 +23,13 @@ module type S = sig
       {!fetch_and_add}/{!read}. *)
   type 'a ref_
 
-  (** [make ?name v] allocates a fresh cell.  Allocation is not a shared
-      memory access and costs no step; [name] labels the cell in simulator
-      traces. *)
-  val make : ?name:string -> 'a -> 'a ref_
+  (** [make ?name ?index v] allocates a fresh cell.  Allocation is not a
+      shared memory access and costs no step.  [name] labels the cell in
+      simulator traces; with [index] the label is [name[index]]
+      ({!label}: ["R"] and [3] give ["R[3]"]).  Only backends that keep
+      labels render it, so real memory formats nothing for the cells of
+      an indexed array. *)
+  val make : ?name:string -> ?index:int -> 'a -> 'a ref_
 
   val read : 'a ref_ -> 'a
 
@@ -41,3 +44,8 @@ module type S = sig
       value. *)
   val fetch_and_add : int ref_ -> int -> int
 end
+
+(** The label of a cell made with [~name] and [?index]: [name], or
+    [name[index]]. *)
+let label ?index name =
+  match index with None -> name | Some i -> name ^ "[" ^ string_of_int i ^ "]"

@@ -819,12 +819,14 @@ let client_epoch c ~pid = c.views.(pid).epoch
 module Sim_mem : Psnap_mem.Mem_intf.S = struct
   type 'a ref_ = reg
 
-  let make ?name v =
+  let make ?name ?index v =
     let c = the_cluster () in
     let rid = c.next_rid in
     c.next_rid <- rid + 1;
     let rname =
-      match name with Some n -> n | None -> Printf.sprintf "abd%d" rid
+      match name with
+      | Some n -> Psnap_mem.Mem_intf.label ?index n
+      | None -> Printf.sprintf "abd%d" rid
     in
     let r = { rid; rname; home = rid mod c.cc.replicas; init = pack v } in
     Hashtbl.replace c.regs rid r;
@@ -1070,13 +1072,15 @@ module Mc_mem : Psnap_mem.Mem_intf.S = struct
     | Some c -> c
     | None -> failwith "Net_abd: no multicore cluster installed"
 
-  let make ?name v =
+  let make ?name ?index v =
     let c = the () in
     Mutex.lock c.mreg_lock;
     let rid = c.mnext_rid in
     c.mnext_rid <- rid + 1;
     let rname =
-      match name with Some n -> n | None -> Printf.sprintf "abd%d" rid
+      match name with
+      | Some n -> Psnap_mem.Mem_intf.label ?index n
+      | None -> Printf.sprintf "abd%d" rid
     in
     let r = { rid; rname; home = rid mod c.mcc.replicas; init = pack v } in
     Hashtbl.replace c.mregs rid r;

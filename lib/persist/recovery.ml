@@ -9,16 +9,20 @@
    recovery may produce (an intent completed twice appends the same lsn
    twice — adjacent, applied once).
 
-   Recovery is one forward fold over the log's frames ([Wal.fold]), with
-   no record list: each update is applied under the lsn filter as it is
-   decoded, and each complete triple resets the base to its sealed view,
-   discarding what was applied before it.  The triple that is last when
-   the fold ends is therefore the one recovered from.  Damage repair
-   happens in the same pass ([Wal.Make.fold ~repair]).
+   Recovery is one forward fold over the log's frames ([Wal.fold]), in
+   place on the device's bytes and with no record list, and it
+   unmarshals only what it recovers.  The fold applies the lsn filter to
+   each update as it passes, but keeps only the update's frame offset; a
+   complete triple clears the kept offsets and makes its seal the base.
+   When the fold ends, the base is the last complete triple's seal, and
+   [finish] unmarshals it once, then the kept updates in log order.
+   Payloads that a later triple supersedes are checked but never
+   unmarshalled.  Damage repair happens in the same pass
+   ([Wal.Make.fold ~repair]).
 
-   This is where the log's payloads are unmarshalled: component values
-   and sealed views.  [Wal.fold] hands over only payloads that passed the
-   frame's checksum and hold exactly one marshalled value. *)
+   [Wal.fold] hands over only frames whose payloads passed the checksum
+   and hold exactly one marshalled value, so [finish] may unmarshal
+   them. *)
 
 type 'a state = {
   values : 'a array;  (** recovered component values *)
@@ -29,62 +33,93 @@ type 'a state = {
 
 (* The fold's accumulator.  [begins] and [seals] hold each generation's
    last begin and seal so far: a generation number reused after a
-   truncation pairs with its latest records. *)
+   truncation pairs with its latest records.  Offsets are into the log
+   the fold runs over. *)
 type 'a replay = {
+  init : 'a array;
   begins : (int, int) Hashtbl.t;  (** gen -> next_lsn *)
-  seals : (int, string) Hashtbl.t;  (** gen -> sealed view *)
-  mutable values : 'a array;
+  seals : (int, int) Hashtbl.t;  (** gen -> its seal's payload offset *)
+  mutable base : int;  (** payload offset of the recovered seal; -1 = [init] *)
+  mutable kept : int array;  (** frame offsets of the updates applied
+                                 since the base, in log order *)
+  mutable replayed : int;  (** the kept offsets in use *)
   mutable applied_lsn : int;  (** the lsn filter: last lsn applied *)
-  mutable replayed : int;
   mutable gen : int;
   mutable horizon : int;  (** the largest lsn the log mentions *)
 }
 
 let start ~init =
   {
+    init;
     begins = Hashtbl.create 4;
     seals = Hashtbl.create 4;
-    values = Array.copy init;
-    applied_lsn = 0;
+    base = -1;
+    kept = Array.make 64 0;
     replayed = 0;
+    applied_lsn = 0;
     gen = 0;
     horizon = 0;
   }
 
-let step acc (r : Wal.record) =
-  (match r with
-  | Update { lsn; index; payload; _ } ->
+let keep acc at =
+  if acc.replayed = Array.length acc.kept then begin
+    let grown = Array.make (2 * acc.replayed) 0 in
+    Array.blit acc.kept 0 grown 0 acc.replayed;
+    acc.kept <- grown
+  end;
+  acc.kept.(acc.replayed) <- at;
+  acc.replayed <- acc.replayed + 1
+
+let step acc log at _len =
+  (match Wal.Frame.kind log at with
+  | 'U' ->
     (* A crashed-but-logged commit filtered here still bumps the horizon,
        so re-drawn lsns never collide. *)
-    acc.horizon <- max acc.horizon lsn;
+    let lsn = Wal.Frame.lsn log at in
+    if lsn > acc.horizon then acc.horizon <- lsn;
     if lsn > acc.applied_lsn then begin
-      acc.values.(index) <- Marshal.from_string payload 0;
-      acc.applied_lsn <- lsn;
-      acc.replayed <- acc.replayed + 1
+      keep acc at;
+      acc.applied_lsn <- lsn
     end
-  | Checkpoint_begin { gen; next_lsn } ->
-    Hashtbl.replace acc.begins gen next_lsn;
-    acc.horizon <- max acc.horizon (next_lsn - 1)
-  | Scan_seal { gen; payload } -> Hashtbl.replace acc.seals gen payload
-  | Checkpoint_end { gen } -> (
+  | 'B' ->
+    let next_lsn = Wal.Frame.next_lsn log at in
+    Hashtbl.replace acc.begins (Wal.Frame.gen log at) next_lsn;
+    if next_lsn - 1 > acc.horizon then acc.horizon <- next_lsn - 1
+  | 'S' ->
+    Hashtbl.replace acc.seals (Wal.Frame.gen log at) (Wal.Frame.payload log at)
+  | _ (* 'E' *) -> (
+    let gen = Wal.Frame.gen log at in
     match (Hashtbl.find_opt acc.begins gen, Hashtbl.find_opt acc.seals gen) with
-    | Some next_lsn, Some payload ->
-      acc.values <- Marshal.from_string payload 0;
+    | Some next_lsn, Some seal ->
+      acc.base <- seal;
       acc.applied_lsn <- next_lsn - 1;
       acc.replayed <- 0;
       acc.gen <- gen
     | _ -> ()));
   acc
 
-let finish acc =
+(* The deferred unmarshalling: the base, then the kept updates. *)
+let finish acc log =
+  let values =
+    if acc.base < 0 then Array.copy acc.init
+    else Marshal.from_string log acc.base
+  in
+  for k = 0 to acc.replayed - 1 do
+    let at = acc.kept.(k) in
+    values.(Wal.Frame.index log at) <-
+      Marshal.from_string log (Wal.Frame.payload log at)
+  done;
   {
-    values = acc.values;
+    values;
     next_lsn = max acc.applied_lsn acc.horizon + 1;
     replayed = acc.replayed;
     checkpoint_gen = acc.gen;
   }
 
-let replay ~init records = finish (List.fold_left step (start ~init) records)
+(* A record list is a log once encoded: the same fold runs over it. *)
+let replay ~init records =
+  let log = String.concat "" (List.map Wal.encode records) in
+  finish (Wal.fold step (start ~init) log (String.length log)).Wal.acc log
 
 (* Device-level recovery: read, repair the tail and replay in one fold,
    then account. *)
@@ -94,8 +129,8 @@ module Make (St : Storage.S) = struct
   module W = Wal.Make (St)
 
   let load ?(repair = true) dev ~init =
-    let d = W.fold ~repair dev step (start ~init) in
-    let st = finish d.Wal.acc in
+    let d = W.fold ~repair dev step (start ~init) ~finish in
+    let st = d.Wal.acc in
     Metrics.incr Metrics.Durable.recoveries;
     Metrics.add Metrics.Durable.replayed_updates st.replayed;
     (st, d.Wal.damage)

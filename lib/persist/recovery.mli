@@ -4,7 +4,12 @@
     [Checkpoint_end] whose generation also has a [Checkpoint_begin] and
     [Scan_seal] earlier in the log — plus every update record after it,
     replayed in log order.  Both come out of one forward fold over the
-    log.  Log order is apply order (lsns are drawn and records appended
+    log's bytes in place, and only they are unmarshalled: the fold keeps
+    the offsets of the updates that pass the lsn filter, a complete
+    triple clears them, and when the fold ends the last complete seal is
+    unmarshalled once, then the kept updates in log order.  A payload
+    that a later triple supersedes is checked but never decoded.  Log
+    order is apply order (lsns are drawn and records appended
     under the commit lock), and the lsn-monotone filter makes replay
     idempotent under owner-recovery duplicate appends.  An incomplete
     checkpoint (begin without end) is ignored: recovery falls back to the
@@ -20,13 +25,12 @@ type 'a state = {
 val replay : init:'a array -> Wal.record list -> 'a state
 (** The fold {!Make.load} runs over a device, here over a record list
     (assumed to be a valid log prefix, as {!Wal.decode_all} returns it:
-    every payload is exactly one marshalled value, and it is
-    unmarshalled here).  A complete triple resets the base to its sealed
-    view; updates apply under the lsn filter. *)
+    every payload is exactly one marshalled value).  The records are
+    encoded into one log and folded exactly as a device's bytes are. *)
 
-(** Device-level recovery: read, repair the tail and replay in one
-    {!Wal.Make.fold} (no record list is built), then account (the
-    [Metrics.Durable] counters). *)
+(** Device-level recovery: fold over the device's bytes in place (no
+    copy, no record list), repair the tail in the same
+    {!Wal.Make.fold}, then account (the [Metrics.Durable] counters). *)
 module Make (St : Storage.S) : sig
   val load : ?repair:bool -> St.t -> init:'a array -> 'a state * Wal.damage
   (** [repair] defaults to [true]. *)

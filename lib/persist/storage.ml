@@ -15,15 +15,38 @@ module type S = sig
 
   val size : t -> int
 
-  val synced_size : t -> int
-
-  val read : t -> string
-
-  val durable_read : t -> string
+  val with_contents : t -> (string -> int -> 'a) -> 'a
 
   val truncate : t -> int -> unit
 
   val losses : t -> int
+end
+
+(* The bytes a device owns: a growable buffer and the length of the log
+   in it.  Unlike [Buffer.t], it hands its bytes to a reader without a
+   copy, and truncation only moves the length. *)
+module Log = struct
+  type t = { mutable bytes : Bytes.t; mutable len : int }
+
+  let create capacity = { bytes = Bytes.create capacity; len = 0 }
+
+  let add l s =
+    let n = String.length s in
+    let need = l.len + n in
+    if need > Bytes.length l.bytes then begin
+      let grown = Bytes.create (max need (2 * Bytes.length l.bytes)) in
+      Bytes.blit l.bytes 0 grown 0 l.len;
+      l.bytes <- grown
+    end;
+    Bytes.blit_string s 0 l.bytes l.len n;
+    l.len <- need
+
+  let contents l f = f (Bytes.unsafe_to_string l.bytes) l.len
+
+  (* The kept length, clamped to the log. *)
+  let truncate l n =
+    l.len <- max 0 (min n l.len);
+    l.len
 end
 
 module Metrics = Psnap_sched.Metrics
@@ -33,7 +56,7 @@ module Sim = struct
     dev_name : string;
     oid : int;  (** pseudo-cell id: device steps appear in traces and are
                     targetable by name-based nemeses like real cells *)
-    buf : Buffer.t;
+    log : Log.t;
     mutable synced : int;  (** bytes covered by a completed [sync] *)
     mutable losses : int;
   }
@@ -63,7 +86,7 @@ module Sim = struct
       {
         dev_name = name;
         oid = Psnap_sched.Sim.fresh_oid ();
-        buf = Buffer.create 256;
+        log = Log.create 256;
         synced = 0;
         losses = 0;
       }
@@ -83,7 +106,7 @@ module Sim = struct
 
   let append t s =
     step t Psnap_sched.Event.Write;
-    Buffer.add_string t.buf s;
+    Log.add t.log s;
     Metrics.incr Metrics.Durable.wal_appends;
     Metrics.add Metrics.Durable.wal_bytes (String.length s)
 
@@ -91,23 +114,14 @@ module Sim = struct
      barrier step" as opposed to "the append step" via [view.op_of]. *)
   let sync t =
     step t Psnap_sched.Event.Faa;
-    t.synced <- Buffer.length t.buf;
+    t.synced <- t.log.len;
     Metrics.incr Metrics.Durable.wal_syncs
 
-  let size t = Buffer.length t.buf
+  let size t = t.log.len
 
-  let synced_size t = t.synced
+  let with_contents t f = Log.contents t.log f
 
-  let read t = Buffer.contents t.buf
-
-  let durable_read t = String.sub (Buffer.contents t.buf) 0 t.synced
-
-  let truncate t n =
-    let n = max 0 (min n (Buffer.length t.buf)) in
-    let s = Buffer.sub t.buf 0 n in
-    Buffer.clear t.buf;
-    Buffer.add_string t.buf s;
-    t.synced <- n
+  let truncate t n = t.synced <- Log.truncate t.log n
 
   let losses t = t.losses
 
@@ -119,7 +133,7 @@ module Sim = struct
     let hit = ref 0 in
     List.iter
       (fun t ->
-        let len = Buffer.length t.buf in
+        let len = t.log.len in
         if len > t.synced then begin
           let unsynced = len - t.synced in
           let torn = max 0 (min unsynced (!torn_policy ~unsynced)) in
@@ -137,20 +151,15 @@ module Sim = struct
   let () = Psnap_sched.Sim.set_power_loss_dispatcher apply_power_loss
 end
 
-(* The multicore device: a mutex-guarded in-memory log.  [sync] is a
-   bookkeeping barrier (there is no simulated power loss on the real
-   host); what the loadgen measures through this backend is the
-   serialization + locking cost durability adds to every update. *)
+(* The multicore device: a mutex-guarded in-memory log.  There is no
+   power loss on the real host, so no write cache either: [sync] only
+   counts the barrier.  What the loadgen measures through this backend is
+   the serialization and locking cost durability adds to every update. *)
 module Mc = struct
-  type t = {
-    dev_name : string;
-    lock : Mutex.t;
-    buf : Buffer.t;
-    mutable synced : int;
-  }
+  type t = { dev_name : string; lock : Mutex.t; log : Log.t }
 
   let create ~name =
-    { dev_name = name; lock = Mutex.create (); buf = Buffer.create 4096; synced = 0 }
+    { dev_name = name; lock = Mutex.create (); log = Log.create 4096 }
 
   let name t = t.dev_name
 
@@ -158,38 +167,23 @@ module Mc = struct
     Mutex.lock t.lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-  (* The two per-commit operations lock and unlock directly, without a
-     [Fun.protect] closure per call: neither body raises, short of running
-     out of memory. *)
+  (* The per-commit append locks and unlocks directly, without a
+     [Fun.protect] closure per call: its body does not raise, short of
+     running out of memory. *)
   let append t s =
     Mutex.lock t.lock;
-    Buffer.add_string t.buf s;
+    Log.add t.log s;
     Mutex.unlock t.lock;
     Metrics.incr Metrics.Durable.wal_appends;
     Metrics.add Metrics.Durable.wal_bytes (String.length s)
 
-  let sync t =
-    Mutex.lock t.lock;
-    t.synced <- Buffer.length t.buf;
-    Mutex.unlock t.lock;
-    Metrics.incr Metrics.Durable.wal_syncs
+  let sync _ = Metrics.incr Metrics.Durable.wal_syncs
 
-  let size t = locked t (fun () -> Buffer.length t.buf)
+  let size t = locked t (fun () -> t.log.len)
 
-  let synced_size t = locked t (fun () -> t.synced)
+  let with_contents t f = locked t (fun () -> Log.contents t.log f)
 
-  let read t = locked t (fun () -> Buffer.contents t.buf)
-
-  let durable_read t =
-    locked t (fun () -> String.sub (Buffer.contents t.buf) 0 t.synced)
-
-  let truncate t n =
-    locked t (fun () ->
-        let n = max 0 (min n (Buffer.length t.buf)) in
-        let s = Buffer.sub t.buf 0 n in
-        Buffer.clear t.buf;
-        Buffer.add_string t.buf s;
-        t.synced <- n)
+  let truncate t n = locked t (fun () -> ignore (Log.truncate t.log n))
 
   let losses _ = 0
 end

@@ -11,7 +11,12 @@
     simulated step per [append]/[sync] and registers with the simulator's
     power-loss dispatcher; {!Mc} is a mutex-guarded in-memory device for
     the multi-domain loadgen, where the serialization and locking cost of
-    the log is the durability overhead being measured. *)
+    the log is the durability overhead being measured.
+
+    Both keep the log in one growable buffer they own: appends are
+    amortized O(1), {!S.truncate} moves only the length, and
+    {!S.with_contents} lends the bytes to a reader (recovery) in
+    place. *)
 
 module type S = sig
   type t
@@ -32,20 +37,20 @@ module type S = sig
   val size : t -> int
   (** Bytes in the log, buffered writes included. *)
 
-  val synced_size : t -> int
-  (** Bytes guaranteed durable (covered by a completed [sync]). *)
-
-  val read : t -> string
-  (** The full current contents, buffered writes included. *)
-
-  val durable_read : t -> string
-  (** The prefix guaranteed to survive a power loss right now. *)
+  val with_contents : t -> (string -> int -> 'a) -> 'a
+  (** [with_contents t f] is [f log len] over the device's own bytes,
+      without a copy: the log is the first [len] bytes of [log], buffered
+      writes included.  [log] is valid only inside [f] and only up to
+      [len]: the bytes past it are not part of the log, and after [f]
+      returns the device may overwrite or drop all of them.  [f] runs
+      under the device's lock ({!Mc}), so it must not call back into
+      the device. *)
 
   val truncate : t -> int -> unit
-  (** [truncate t n] discards every byte at offset [n] and beyond, and
-      marks the surviving prefix durable.  Recovery-time repair only: it
-      models the failure-atomic tail repair a recovery pass performs
-      while the system is down, so it costs no step (see
+  (** [truncate t n] discards every byte at offset [n] and beyond, in
+      O(1), and marks the surviving prefix durable.  Recovery-time
+      repair only: it models the failure-atomic tail repair a recovery
+      pass performs while the system is down, so it costs no step (see
       docs/MODEL.md §13 on the atomic-recovery modeling choice). *)
 
   val losses : t -> int
@@ -57,7 +62,7 @@ end
 (** The simulated device.  Each [append]/[sync] is one scheduled step on a
     per-device pseudo-cell, so the adversary can interleave — or cut power
     — between a record landing in the write cache and the barrier that
-    would have made it durable.  Reads and truncation cost nothing: they
+    would have made it durable.  Reading and truncation cost nothing: they
     model recovery-time work, which happens while the machine is down and
     outside the adversary's schedule. *)
 module Sim : sig
@@ -78,4 +83,6 @@ module Sim : sig
   (** Power-loss decisions dispatched since the last {!reset}. *)
 end
 
+(** The multicore device.  It has no power loss and no write cache:
+    [sync] only counts the barrier. *)
 module Mc : S

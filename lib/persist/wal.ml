@@ -10,8 +10,11 @@
 
    [encode] builds the frame in one buffer and marshals nothing; the
    payloads are marshalled by the caller (a component value, a sealed
-   view).  [fold] decodes frames without [Marshal].  It stops at the
-   first damaged frame and reports how many bytes were good: a torn tail
+   view).  [fold] checks frames in place, without [Marshal] and without
+   allocating per frame: it hands each good frame to its step as the
+   offset of its body, and [Frame] reads the fields there; only
+   [decode_all] and [read_all] build records.  It stops at the first
+   damaged frame and reports how many bytes were good: a torn tail
    (incomplete header or body — the shape a power loss leaves) and an
    in-place corruption are distinguished so recovery can account for them
    separately.  Corruption is a header that is not hex, a checksum
@@ -160,17 +163,26 @@ let encode r =
   Bytes.set b 17 ' ';
   Bytes.unsafe_to_string b
 
-(* The 8 hex digits at [s.[off]], or -1 if any is not [0-9a-f]. *)
+(* Each byte's value as a hex digit, and 16 for a byte that is not one
+   of [0-9a-f]. *)
+let hex_value =
+  String.init 256 (fun c ->
+      match Char.chr c with
+      | '0' .. '9' -> Char.chr (c - 48)
+      | 'a' .. 'f' -> Char.chr (c - 87)
+      | _ -> '\016')
+
+(* The 8 hex digits at [s.[off]], a field of the header, or -1 if one is
+   not [0-9a-f].  A table lookup per digit: the table has a byte for
+   every char code. *)
 let hex8 s off =
-  let rec go i acc =
-    if i = off + 8 then acc
-    else
-      match s.[i] with
-      | '0' .. '9' as c -> go (i + 1) ((acc lsl 4) lor (Char.code c - 48))
-      | 'a' .. 'f' as c -> go (i + 1) ((acc lsl 4) lor (Char.code c - 87))
-      | _ -> -1
-  in
-  go off 0
+  let acc = ref 0 and bad = ref 0 in
+  for i = off to off + 7 do
+    let d = Char.code (String.unsafe_get hex_value (Char.code s.[i])) in
+    acc := (!acc lsl 4) lor d;
+    bad := !bad lor d
+  done;
+  if !bad land 16 <> 0 then -1 else !acc
 
 (* Do the [len] bytes at [s.[at]] hold exactly one marshalled value?  A
    checksum only covers the bytes it is given, so a payload with trailing
@@ -188,61 +200,78 @@ let exactly_marshalled s at len =
 let payload_ok s at len fixed =
   len >= fixed && exactly_marshalled s (at + fixed) (len - fixed)
 
-(* The checksummed body at [s.[at]], [len] bytes long; [None] if it is
-   not a well-formed record. *)
-let decode_body s at len =
-  if len < 1 then None
-  else
-    match s.[at] with
-    | 'U' when payload_ok s at len 25 ->
-      Some
-        (Update
-           {
-             lsn = word s (at + 1);
-             pid = word s (at + 9);
-             index = word s (at + 17);
-             payload = String.sub s (at + 25) (len - 25);
-           })
-    | 'S' when payload_ok s at len 9 ->
-      Some
-        (Scan_seal
-           { gen = word s (at + 1); payload = String.sub s (at + 9) (len - 9) })
-    | 'B' when len = 17 ->
-      Some
-        (Checkpoint_begin { gen = word s (at + 1); next_lsn = word s (at + 9) })
-    | 'E' when len = 9 -> Some (Checkpoint_end { gen = word s (at + 1) })
-    | _ -> None
+(* Is the checksummed body at [s.[at]], [len] bytes long, a well-formed
+   record? *)
+let body_ok s at len =
+  len >= 1
+  &&
+  match s.[at] with
+  | 'U' -> payload_ok s at len 25
+  | 'S' -> payload_ok s at len 9
+  | 'B' -> len = 17
+  | 'E' -> len = 9
+  | _ -> false
 
 type 'acc folded = { acc : 'acc; good_bytes : int; damage : damage }
 
-let fold f init s =
-  let n = String.length s in
+(* One loop over the frames; it allocates nothing per frame (the only
+   closure, [go], is made once per fold). *)
+let fold f init s n =
   let rec go off acc =
-    let stop damage = { acc; good_bytes = off; damage } in
-    if off = n then stop Clean
-    else if off + header_len > n then stop Torn
+    if off = n then { acc; good_bytes = off; damage = Clean }
+    else if off + header_len > n then { acc; good_bytes = off; damage = Torn }
     else
       let len = hex8 s off and crc = hex8 s (off + 9) in
       if len < 0 || crc < 0 || s.[off + 8] <> ' ' || s.[off + 17] <> ' ' then
-        stop Corrupt
+        { acc; good_bytes = off; damage = Corrupt }
       else
         let at = off + header_len in
-        if at + len > n then stop Torn
-        else if checksum_sub s at len <> crc then stop Corrupt
-        else
-          match decode_body s at len with
-          | Some r -> go (at + len) (f acc r)
-          | None -> stop Corrupt
+        if at + len > n then { acc; good_bytes = off; damage = Torn }
+        else if checksum_sub s at len <> crc || not (body_ok s at len) then
+          { acc; good_bytes = off; damage = Corrupt }
+        else go (at + len) (f acc s at len)
   in
   go 0 init
 
+module Frame = struct
+  let kind s at = s.[at]
+
+  let lsn s at = word s (at + 1)
+
+  let index s at = word s (at + 17)
+
+  let gen s at = word s (at + 1)
+
+  let next_lsn s at = word s (at + 9)
+
+  let payload s at = if s.[at] = 'U' then at + 25 else at + 9
+end
+
+(* The frame [fold] handed over as a record, payload copied. *)
+let record s at len =
+  match s.[at] with
+  | 'U' ->
+    Update
+      {
+        lsn = Frame.lsn s at;
+        pid = word s (at + 9);
+        index = Frame.index s at;
+        payload = String.sub s (at + 25) (len - 25);
+      }
+  | 'S' ->
+    let payload = String.sub s (at + 9) (len - 9) in
+    Scan_seal { gen = Frame.gen s at; payload }
+  | 'B' ->
+    Checkpoint_begin { gen = Frame.gen s at; next_lsn = Frame.next_lsn s at }
+  | _ -> Checkpoint_end { gen = Frame.gen s at }
+
 (* [fold]'s step and result for collecting the records. *)
-let cons acc r = r :: acc
+let cons acc s at len = record s at len :: acc
 
 let collected { acc; good_bytes; damage } =
   { records = List.rev acc; good_bytes; damage }
 
-let decode_all s = collected (fold cons [] s)
+let decode_all s = collected (fold cons [] s (String.length s))
 
 let pp_record ppf = function
   | Update { lsn; pid; index; _ } ->
@@ -259,11 +288,16 @@ module Metrics = Psnap_sched.Metrics
 module Make (St : Storage.S) = struct
   let append dev r = St.append dev (encode r)
 
-  (* Fold over the device's (volatile) contents; with [repair], truncate
-     any damaged tail so the next pass reads a clean log.  Truncation and
+  (* Fold over the device's (volatile) contents in place, and finish
+     while the bytes are still lent; then, with [repair], truncate any
+     damaged tail so the next pass reads a clean log.  Truncation and
      reads cost no steps: this is recovery-time work (storage.mli). *)
-  let fold ?(repair = false) dev f init =
-    let d = fold f init (St.read dev) in
+  let fold ?(repair = false) dev f init ~finish =
+    let d =
+      St.with_contents dev (fun log n ->
+          let d = fold f init log n in
+          { d with acc = finish d.acc log })
+    in
     (match d.damage with
     | Clean -> ()
     | Torn | Corrupt ->
@@ -277,13 +311,16 @@ module Make (St : Storage.S) = struct
       end);
     d
 
-  let read_all ?repair dev = collected (fold ?repair dev cons [])
+  let read_all ?repair dev =
+    collected (fold ?repair dev cons [] ~finish:(fun acc _ -> acc))
 
   (* Does the durable log already hold an update with this lsn?  Used by
      owner recovery to make its completion append idempotent. *)
   let has_lsn dev lsn =
     (fold dev
-       (fun found -> function Update u -> found || u.lsn = lsn | _ -> found)
-       false)
+       (fun found log at _ ->
+         found || (Frame.kind log at = 'U' && Frame.lsn log at = lsn))
+       false
+       ~finish:(fun found _ -> found))
       .acc
 end

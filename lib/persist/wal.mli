@@ -8,14 +8,16 @@
     for [Update] and [Scan_seal] the payload bytes, running to the end of
     the body.  Neither encoding nor decoding marshals anything.
 
-    Decoding ({!fold}) stops at the first damaged frame, distinguishing a
+    Reading ({!fold}) stops at the first damaged frame, distinguishing a
     {e torn} tail (incomplete header or body — what a power loss leaves)
     from an in-place {e corruption}: a header that is not hex, a checksum
     mismatch, an unknown kind byte, a body too short or too long for its
     kind, or a payload that is not exactly one marshalled value
     ([Marshal.total_size] equal to its length).  So a payload that
-    decodes has passed the checksum and the size check, and only then may
-    recovery hand it to [Marshal.from_string]. *)
+    reaches a reader has passed the checksum and the size check, and only
+    then may recovery hand it to [Marshal.from_string].  The reader works
+    on the log's bytes in place: {!fold} hands each frame over as an
+    offset, and {!Frame} reads its fields without copying. *)
 
 type record =
   | Update of { lsn : int; pid : int; index : int; payload : string }
@@ -57,12 +59,41 @@ type 'acc folded = {
   damage : damage;
 }
 
-val fold : ('acc -> record -> 'acc) -> 'acc -> string -> 'acc folded
-(** [fold f init log] folds [f] over the records of the log's valid
-    prefix, in log order, without building a list. *)
+val fold :
+  ('acc -> string -> int -> int -> 'acc) -> 'acc -> string -> int -> 'acc folded
+(** [fold f init log n] checks the frames in the first [n] bytes of
+    [log], in log order, and folds [f acc log at len] over the frames of
+    the valid prefix, where [at] is the offset of a frame's body in [log]
+    and [len] its length.  Every frame [f] sees has passed every check
+    above; {!Frame} reads its fields in place.  [fold] itself allocates
+    nothing per frame: it builds no record and copies no payload. *)
+
+(** The fields of a frame that {!fold} handed over, read in place: [log]
+    and [at] are the arguments [f] received. *)
+module Frame : sig
+  val kind : string -> int -> char
+  (** The kind byte: ['U'], ['S'], ['B'] or ['E']. *)
+
+  val lsn : string -> int -> int
+  (** Of an [Update]. *)
+
+  val index : string -> int -> int
+  (** Of an [Update]. *)
+
+  val gen : string -> int -> int
+  (** Of a [Scan_seal], [Checkpoint_begin] or [Checkpoint_end]. *)
+
+  val next_lsn : string -> int -> int
+  (** Of a [Checkpoint_begin]. *)
+
+  val payload : string -> int -> int
+  (** The offset in [log] of an [Update]'s or [Scan_seal]'s payload:
+      exactly one marshalled value, so [Marshal.from_string log
+      (payload log at)] decodes it. *)
+end
 
 val decode_all : string -> decoded
-(** [fold] collecting the records. *)
+(** [fold] over the whole string, collecting the records. *)
 
 val pp_record : Format.formatter -> record -> unit
 
@@ -71,11 +102,19 @@ module Make (St : Storage.S) : sig
   val append : St.t -> record -> unit
 
   val fold :
-    ?repair:bool -> St.t -> ('acc -> record -> 'acc) -> 'acc -> 'acc folded
-  (** Fold over the device's contents; with [repair] (default false),
-      truncate any damaged tail — bumping the truncation metrics — so the
-      next pass reads a clean log.  Reads and repair cost no simulated
-      steps: recovery-time work (see {!Storage.S.truncate}). *)
+    ?repair:bool ->
+    St.t ->
+    ('acc -> string -> int -> int -> 'acc) ->
+    'acc ->
+    finish:('acc -> string -> 'b) ->
+    'b folded
+  (** [fold dev f init ~finish] runs {!val-fold} over the device's own
+      bytes ({!Storage.S.with_contents}: no copy), then [finish acc log]
+      while the bytes are still lent, so [finish] may read the frames [f]
+      kept offsets of.  With [repair] (default false), it then truncates
+      any damaged tail, bumping the truncation metrics, so the next pass
+      reads a clean log.  Reads and repair cost no simulated steps:
+      recovery-time work (see {!Storage.S.truncate}). *)
 
   val read_all : ?repair:bool -> St.t -> decoded
   (** [fold] collecting the records. *)

@@ -131,7 +131,9 @@ struct
     h.rounds <- h.rounds + 1;
     Array.map (fun (s, j) -> S.read h.hs.(s) j) locs
 
-  let agree a b =
+  (* Typed, so each epoch comparison is an integer compare, not a call
+     to the polymorphic [compare]. *)
+  let agree (a : (int * _) array) (b : (int * _) array) =
     let rec go k = k < 0 || (fst a.(k) = fst b.(k) && go (k - 1)) in
     go (Array.length a - 1)
 

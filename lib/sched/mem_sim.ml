@@ -247,7 +247,8 @@ let alloc ~plain name v =
   if !tracking then Hashtbl.replace registry r.oid (apply_fault_to r);
   r
 
-let make ?(name = "r") v = alloc ~plain:false name v
+let make ?(name = "r") ?index v =
+  alloc ~plain:false (Psnap_mem.Mem_intf.label ?index name) v
 
 let make_plain ?(name = "r") v = alloc ~plain:true name v
 

@@ -20,9 +20,10 @@ val allocations : unit -> int
 
 val reset_allocations : unit -> unit
 
-(** [make ?name v] allocates a fresh atomic cell; [name] labels it in
+(** [make ?name ?index v] allocates a fresh atomic cell; its label
+    ([name], or [name[index]]: {!Psnap_mem.Mem_intf.label}) names it in
     traces and is the target key of name-based nemeses. *)
-val make : ?name:string -> 'a -> 'a ref_
+val make : ?name:string -> ?index:int -> 'a -> 'a ref_
 
 (** [make_plain ?name v] allocates an {e unsynchronized} cell (a raw [ref]
     or mutable field shared across domains): reads and writes create no

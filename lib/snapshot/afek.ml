@@ -32,7 +32,7 @@ module Make (M : Psnap_mem.Mem_intf.S) : Snapshot_intf.S = struct
     {
       regs =
         Array.mapi
-          (fun i v -> M.make ~name:(Printf.sprintf "R[%d]" i) (C.init_cell v))
+          (fun i v -> M.make ~name:"R" ~index:i (C.init_cell v))
           init;
       all = Array.init (Array.length init) (fun i -> i);
     }

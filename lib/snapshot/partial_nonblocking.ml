@@ -45,8 +45,7 @@ module Make (M : Psnap_mem.Mem_intf.S) = struct
     {
       regs =
         Array.mapi
-          (fun i v ->
-            M.make ~name:(Printf.sprintf "R[%d]" i) { v; tag = Tag.Init })
+          (fun i v -> M.make ~name:"R" ~index:i { v; tag = Tag.Init })
           init;
     }
 

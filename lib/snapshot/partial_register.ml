@@ -44,7 +44,7 @@ module Make_repr
     {
       regs =
         Array.mapi
-          (fun i v -> M.make ~name:(Printf.sprintf "R[%d]" i) (C.init_cell v))
+          (fun i v -> M.make ~name:"R" ~index:i (C.init_cell v))
           init;
       ann = Ann.create ~n;
       aset = A.create ~n ();

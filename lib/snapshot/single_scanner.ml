@@ -48,8 +48,7 @@ module Make (M : Psnap_mem.Mem_intf.S) = struct
       regs =
         Array.mapi
           (fun i v ->
-            M.make ~name:(Printf.sprintf "R[%d]" i)
-              { v; seq = min_int; prev = v })
+            M.make ~name:"R" ~index:i { v; seq = min_int; prev = v })
           init;
       seq = M.make ~name:"Seq" 0;
       owner;

@@ -4,7 +4,8 @@
    shape, every single-bit flip of a frame, checkpoint-begin without
    end, duplicate-lsn dedup, double-recovery idempotence), the
    one-pass replay against the two-walk reference on random logs, what a
-   checkpoint seals, the checkpoint triple, and the durable snapshot
+   checkpoint seals, the checkpoint triple, what a recovery allocates,
+   the names simulated cells keep, and the durable snapshot
    under simulated power losses — a mini exhaustive sweep (a blackout at
    every schedule point must recover to a durably-linearizable state),
    plain crash–restart intent resumption, checkpointed recovery, and the
@@ -417,6 +418,88 @@ let test_has_lsn () =
   check_bool "present" true (WIO.has_lsn dev 3);
   check_bool "absent" false (WIO.has_lsn dev 2)
 
+(* ---- what a recovery allocates ----
+
+   Recovery folds over the device's own bytes, allocates nothing per
+   frame and unmarshals only the live suffix: on a clean log of 100k
+   updates with a seal near its end, it must allocate well under a word
+   per byte of log, and no major block near the log's size (a copy of
+   the log would be one).  Gc counts are exact in a single domain. *)
+
+module StMc = Persist.Storage.Mc
+module RMc = Persist.Recovery.Make (Persist.Storage.Mc)
+module CMc = Persist.Checkpoint.Make (Persist.Storage.Mc)
+
+let test_load_allocates_little () =
+  let m = 1024 and updates = 100_000 and suffix = 100 in
+  let dev = StMc.create ~name:"big" in
+  let append lsn =
+    StMc.append dev (Wal.encode (upd ~lsn ~index:(lsn mod m) lsn))
+  in
+  for lsn = 1 to updates do
+    append lsn
+  done;
+  let sealed = Array.init m (fun i -> -i) in
+  CMc.write dev ~gen:1 ~next_lsn:(updates + 1)
+    ~payload:(Marshal.to_string sealed []);
+  for lsn = updates + 1 to updates + suffix do
+    append lsn
+  done;
+  let log_words = float_of_int (StMc.size dev / (Sys.word_size / 8)) in
+  let minor0 = Gc.minor_words () and s0 = Gc.quick_stat () in
+  let st, damage = RMc.load dev ~init:(Array.make m 0) in
+  let minor1 = Gc.minor_words () and s1 = Gc.quick_stat () in
+  let major = s1.Gc.major_words -. s0.Gc.major_words in
+  let promoted = s1.Gc.promoted_words -. s0.Gc.promoted_words in
+  let allocated = minor1 -. minor0 +. major -. promoted in
+  let want = Array.copy sealed in
+  for lsn = updates + 1 to updates + suffix do
+    want.(lsn mod m) <- lsn
+  done;
+  check_bool "clean" true (damage = Wal.Clean);
+  check_bool "the seal plus the suffix" true (ints_of st = want);
+  check_int "only the suffix is replayed" suffix st.Recovery.replayed;
+  check_int "from the seal" 1 st.Recovery.checkpoint_gen;
+  check_int "next lsn" (updates + suffix + 1) st.Recovery.next_lsn;
+  let bytes = float_of_int (StMc.size dev) in
+  if allocated > bytes /. 16. then
+    Alcotest.failf "recovery allocated %.0f words over a %.0f-byte log"
+      allocated bytes;
+  if major > log_words /. 2. then
+    Alcotest.failf "recovery allocated %.0f major words; the log is %.0f"
+      major log_words
+
+(* ---- cell names ----
+
+   Real memory formats no cell names, but the simulator still renders
+   them: traces and name-based nemeses match cells by these labels. *)
+
+let object_names (module S : Snapshot.S) ~m =
+  let t = S.create ~n:1 (Array.make m 0) in
+  let body () =
+    let h = S.handle t ~pid:0 in
+    for i = 0 to m - 1 do
+      S.update h i (i + 1)
+    done;
+    ignore (S.scan h (Array.init m Fun.id))
+  in
+  let res =
+    Sim.run ~record_trace:true ~sched:(Scheduler.round_robin ()) [| body |]
+  in
+  List.map (fun (_, name, _) -> name) (Trace.steps_by_object res.Sim.trace)
+
+let test_sim_cell_names () =
+  let names = object_names (module Sim_fig3) ~m:4 in
+  List.iter
+    (fun n ->
+      check_bool (n ^ " in the fig3 trace") true (List.mem n names))
+    [ "R[0]"; "R[1]"; "R[2]"; "R[3]" ];
+  let names = object_names (module Sim_sharded_fig3) ~m:8 in
+  List.iter
+    (fun n ->
+      check_bool (n ^ " in the sharded trace") true (List.mem n names))
+    [ "R[0]"; "R[1]"; "shard0.epoch"; "shard3.epoch" ]
+
 (* ---- what a checkpoint seals ----
 
    The durable store over real atomics and the simulated device, driven
@@ -587,6 +670,10 @@ let () =
             test_checkpoint_seals_committed;
           Alcotest.test_case "double recovery idempotent" `Quick
             test_double_recovery_idempotent;
+          Alcotest.test_case "load allocates little" `Quick
+            test_load_allocates_little;
+          Alcotest.test_case "simulated cells keep their names" `Quick
+            test_sim_cell_names;
         ] );
       ( "power-loss",
         [

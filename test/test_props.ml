@@ -3,7 +3,8 @@
    scheduler family and seed); each case runs a full simulated execution
    and checks the recorded history.  One property per implementation for
    snapshots (observation checker) and one per active set implementation
-   (interval-semantics checker); plus one over WAL frames. *)
+   (interval-semantics checker); plus one over WAL frames and one over
+   recovery from a device. *)
 
 open Psnap
 
@@ -250,6 +251,207 @@ let wal_prop =
       && whole.Wal.good_bytes = String.length log
       && List.for_all prefix_ok (List.init (String.length log) Fun.id))
 
+(* Recovery on a device: a random log, damaged or not, recovers on both
+   devices to what an eager replay of its decoded records gives.  The
+   eager replay is recovery as it was before unmarshalling was deferred:
+   each update is unmarshalled as it is read, and each complete triple
+   resets the base to its unmarshalled seal.  The logs hold duplicate and
+   stale lsns, complete, partial and out-of-order triples, generations
+   drawn again after a truncation, and optionally a torn tail and one
+   flipped byte. *)
+type wal_op =
+  | Commit of int * int  (** index, value: at the next lsn *)
+  | Again of int * int  (** the last lsn once more: an owner's re-append *)
+  | Stale of int * int * int  (** an lsn this far below the last one *)
+  | Triple of int array  (** a complete checkpoint sealing this view *)
+  | Partial of int * int * int array
+      (** a shape of incomplete or out-of-order triple, how far its
+          next_lsn lags, and its view *)
+  | Lone_end of int  (** an end for some generation so far *)
+  | Cut of int * int
+      (** drop this many of the newest records, then draw generations
+          again from a lower one *)
+
+type wal_case = {
+  ops : wal_op list;
+  tear : int option;  (** bytes of one more frame, cut short *)
+  flip : (int * int) option;  (** a byte position and a nonzero xor mask *)
+}
+
+let wal_m = 3
+
+let wal_case_gen =
+  QCheck2.Gen.(
+    let index = int_range 0 (wal_m - 1) and value = int_range 0 999 in
+    let view = array_size (return wal_m) value in
+    let op =
+      frequency
+        [
+          (4, map2 (fun i v -> Commit (i, v)) index value);
+          (1, map2 (fun i v -> Again (i, v)) index value);
+          (1, map3 (fun k i v -> Stale (k, i, v)) (int_range 0 3) index value);
+          (2, map (fun v -> Triple v) view);
+          ( 1,
+            map3
+              (fun s d v -> Partial (s, d, v))
+              (int_range 0 4) (int_range 0 3) view );
+          (1, map (fun g -> Lone_end g) (int_range 0 9));
+          (1, map2 (fun c g -> Cut (c, g)) (int_range 0 8) (int_range 0 9));
+        ]
+    in
+    let* ops = list_size (int_range 0 40) op
+    and* tear = option ~ratio:0.4 (int_range 1 60)
+    and* flip =
+      option ~ratio:0.4 (pair (int_range 0 100_000) (int_range 1 255))
+    in
+    return { ops; tear; flip })
+
+let records_of_ops ops =
+  let module Wal = Persist.Wal in
+  let log = ref [] and lsn = ref 0 and gen = ref 0 in
+  let emit r = log := r :: !log in
+  let update lsn index (v : int) =
+    emit (Wal.Update { lsn; pid = 0; index; payload = Marshal.to_string v [] })
+  in
+  let seal gen (view : int array) =
+    Wal.Scan_seal { gen; payload = Marshal.to_string view [] }
+  in
+  List.iter
+    (function
+      | Commit (i, v) ->
+        incr lsn;
+        update !lsn i v
+      | Again (i, v) -> update !lsn i v
+      | Stale (k, i, v) -> update (max 0 (!lsn - k)) i v
+      | Triple view ->
+        incr gen;
+        emit (Wal.Checkpoint_begin { gen = !gen; next_lsn = !lsn + 1 });
+        emit (seal !gen view);
+        emit (Wal.Checkpoint_end { gen = !gen })
+      | Partial (shape, lag, view) ->
+        incr gen;
+        let b =
+          Wal.Checkpoint_begin { gen = !gen; next_lsn = max 0 (!lsn + 1 - lag) }
+        and s = seal !gen view
+        and e = Wal.Checkpoint_end { gen = !gen } in
+        List.iter emit
+          (match shape with
+          | 0 -> [ b ]
+          | 1 -> [ b; s ]
+          | 2 -> [ s; e ]
+          | 3 -> [ b; e ]
+          | _ -> [ s; b; e ])
+      | Lone_end g -> emit (Wal.Checkpoint_end { gen = 1 + (g mod (!gen + 1)) })
+      | Cut (c, g) ->
+        log := List.filteri (fun i _ -> i >= c) !log;
+        gen := g mod (!gen + 1))
+    ops;
+  List.rev !log
+
+let bytes_of_case c =
+  let module Wal = Persist.Wal in
+  let log = String.concat "" (List.map Wal.encode (records_of_ops c.ops)) in
+  let log =
+    match c.tear with
+    | None -> log
+    | Some k ->
+      let payload = Marshal.to_string 7 [] in
+      let f = Wal.encode (Wal.Update { lsn = 1_000; pid = 0; index = 0; payload }) in
+      log ^ String.sub f 0 (k mod String.length f)
+  in
+  match c.flip with
+  | Some (pos, mask) when log <> "" ->
+    let b = Bytes.of_string log in
+    let i = pos mod Bytes.length b in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask));
+    Bytes.to_string b
+  | _ -> log
+
+let eager_replay ~init records =
+  let module Wal = Persist.Wal in
+  let begins = Hashtbl.create 4 and seals = Hashtbl.create 4 in
+  let values = ref (Array.copy init) and applied = ref 0 and replayed = ref 0 in
+  let gen = ref 0 and horizon = ref 0 in
+  List.iter
+    (function
+      | Wal.Update { lsn; index; payload; _ } ->
+        horizon := max !horizon lsn;
+        if lsn > !applied then begin
+          !values.(index) <- Marshal.from_string payload 0;
+          applied := lsn;
+          incr replayed
+        end
+      | Wal.Checkpoint_begin { gen; next_lsn } ->
+        Hashtbl.replace begins gen next_lsn;
+        horizon := max !horizon (next_lsn - 1)
+      | Wal.Scan_seal { gen; payload } -> Hashtbl.replace seals gen payload
+      | Wal.Checkpoint_end { gen = g } -> (
+        match (Hashtbl.find_opt begins g, Hashtbl.find_opt seals g) with
+        | Some next_lsn, Some payload ->
+          values := Marshal.from_string payload 0;
+          applied := next_lsn - 1;
+          replayed := 0;
+          gen := g
+        | _ -> ()))
+    records;
+  {
+    Persist.Recovery.values = !values;
+    next_lsn = max !applied !horizon + 1;
+    replayed = !replayed;
+    checkpoint_gen = !gen;
+  }
+
+(* Load [log] on a fresh device, appended in 100-byte pieces: the state,
+   the damage, and the device's size after repair. *)
+module Load_on (St : Persist.Storage.S) = struct
+  module R = Persist.Recovery.Make (St)
+
+  let load log ~init =
+    let dev = St.create ~name:"wal" in
+    let n = String.length log in
+    let rec go off =
+      if off < n then begin
+        St.append dev (String.sub log off (min 100 (n - off)));
+        go (off + 100)
+      end
+    in
+    go 0;
+    let st, damage = R.load dev ~init in
+    (st, damage, St.size dev)
+end
+
+module Load_sim = Load_on (Persist.Storage.Sim)
+module Load_mc = Load_on (Persist.Storage.Mc)
+
+let recovery_prop =
+  let module Wal = Persist.Wal in
+  QCheck2.Test.make ~name:"device recovery = eager replay, on Sim and Mc"
+    ~count:300
+    ~print:(fun c ->
+      Fmt.str "%a tear=%a flip=%a"
+        Fmt.(Dump.list Wal.pp_record)
+        (records_of_ops c.ops)
+        Fmt.(Dump.option int)
+        c.tear
+        Fmt.(Dump.option (Dump.pair int int))
+        c.flip)
+    wal_case_gen
+    (fun c ->
+      let log = bytes_of_case c in
+      let init = Array.init wal_m (fun i -> -1 - i) in
+      let d = Wal.decode_all log in
+      let want = eager_replay ~init d.Wal.records in
+      let agrees ((st : int Persist.Recovery.state), damage, size) =
+        st.values = want.values
+        && st.next_lsn = want.next_lsn
+        && st.replayed = want.replayed
+        && st.checkpoint_gen = want.checkpoint_gen
+        && damage = d.Wal.damage
+        && size = d.Wal.good_bytes
+      in
+      Persist.Storage.Sim.reset ();
+      agrees (Load_sim.load log ~init) && agrees (Load_mc.load log ~init))
+
 let snapshot_impls : (string * (module SNAP)) list =
   [
     ("afek", (module Sim_afek));
@@ -289,5 +491,9 @@ let () =
           aset_impls );
       ( "values",
         [ QCheck_alcotest.to_alcotest values_belong_prop ] );
-      ("wal", [ QCheck_alcotest.to_alcotest wal_prop ]);
+      ( "wal",
+        [
+          QCheck_alcotest.to_alcotest wal_prop;
+          QCheck_alcotest.to_alcotest recovery_prop;
+        ] );
     ]
