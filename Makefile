@@ -109,11 +109,14 @@ loadgen-smoke:
 # double collect with a fig3 sub-scan fallback) and at -r 6 (stride 10:
 # every scan crosses shards and retries its double collect); the target
 # fails unless the default runs fell back and the -r 6 runs retried.
-# Then the supervised sharded front under combined nemeses.  Every Atomic scan is checked for
-# linearizability; every budget exhaustion must surface as Degraded; the
-# stuck-epoch runs must complete at least one shard rebuild with validated
-# post-rebuild scans; the loadgen run pins tail latency with one circuit
-# forced open.  JSON summaries land in _artifacts/ for CI upload.
+# Then the supervised sharded front under combined nemeses, again also at
+# -r 6, where its scans cross shards and run the same double collect
+# under a budget (the target fails unless those runs retried).  Every
+# Atomic scan is checked for linearizability; every budget exhaustion
+# must surface as Degraded; the stuck-epoch runs must complete at least
+# one shard rebuild with validated post-rebuild scans; the loadgen run
+# pins tail latency with one circuit forced open.  JSON summaries land in
+# _artifacts/ for CI upload.
 chaos-runtime:
 	dune build bin/simulate.exe bin/loadgen.exe
 	mkdir -p $(ARTIFACTS)
@@ -139,6 +142,16 @@ chaos-runtime:
 	dune exec bin/simulate.exe -- --impl resilient --shards 4 \
 	  --nemesis chaos --stick-epoch 0 --seeds 10 --check \
 	  --json $(ARTIFACTS)/chaos-runtime-stuck-epoch.json
+	dune exec bin/simulate.exe -- --impl resilient --shards 4 -r 6 \
+	  --nemesis chaos --seeds 10 --check \
+	  --json $(ARTIFACTS)/chaos-runtime-resilient-r6.json
+	dune exec bin/simulate.exe -- --impl resilient --shards 4 -r 6 \
+	  --nemesis chaos --stick-epoch 0 --seeds 10 --check \
+	  --json $(ARTIFACTS)/chaos-runtime-stuck-epoch-r6.json
+	python3 -c "import json, sys; \
+	  bad = [f + ': scan_retries = 0' for f in ('resilient-r6', 'stuck-epoch-r6') \
+	         if json.load(open('$(ARTIFACTS)/chaos-runtime-' + f + '.json'))['scan_retries'] == 0]; \
+	  sys.exit('; '.join(bad) if bad else 0)"
 	dune exec bin/simulate.exe -- --impl resilient --shards 4 \
 	  --stall-shard 1 --slow-pid 0 --seed 100 --seeds 10 --check \
 	  --json $(ARTIFACTS)/chaos-runtime-stall.json
@@ -260,7 +273,8 @@ chaos-txn:
 # violations tolerated.  The committed witness schedule must convict the
 # naive (fence-free) mode of a lost acked write and leave the fenced
 # mode clean on the identical schedule; the loadgen run permanently
-# kills a majority under load and must return to Atomic service.
+# kills a majority under load, must land every replacement and must
+# return to Atomic service.
 chaos-reconfig:
 	dune build bin/simulate.exe bin/loadgen.exe
 	mkdir -p $(ARTIFACTS)

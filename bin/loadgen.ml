@@ -261,7 +261,7 @@ let run_reconfig_scenario replicas spares kill_n domains duration json_file =
   let workers = List.init domains (fun d -> Domain.spawn (worker d)) in
   let t0 = Unix.gettimeofday () in
   let sleep s = ignore (Unix.select [] [] [] s) in
-  let replace_retries = ref 0 in
+  let replace_retries = ref 0 and replaced = ref 0 in
   sleep (duration_s /. 8.);
   for i = 0 to kill_n - 1 do
     A.mc_kill cluster ~index:i;
@@ -273,7 +273,7 @@ let run_reconfig_scenario replicas spares kill_n domains duration json_file =
     in
     let rec attempt n =
       match R.mc_reconfigure rc ~members with
-      | _ -> ()
+      | _ -> incr replaced
       | exception Psnap.Net.Unavailable _ ->
         incr replace_retries;
         if n < 100 then begin
@@ -347,6 +347,11 @@ let run_reconfig_scenario replicas spares kill_n domains duration json_file =
     Printf.printf
       "FAIL: a domain never completed an operation after the last \
        replacement\n";
+    1
+  end
+  else if !replaced < kill_n then begin
+    Printf.printf "FAIL: only %d of %d replacements landed\n" !replaced
+      kill_n;
     1
   end
   else begin
@@ -646,7 +651,8 @@ let reconfig_under_load =
            members is permanently killed and replaced one at a time by \
            fenced reconfigurations; reports the availability gap, the \
            epoch chases, and whether the service returned to Atomic \
-           (exit 1 on a lost write or an unrecovered domain).")
+           (exit 1 on a lost write, an unrecovered domain or a \
+           replacement that never landed).")
 
 let spares =
   Arg.(

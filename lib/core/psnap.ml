@@ -141,6 +141,7 @@ module Llsc = Psnap_mem.Llsc
 (** The serving layer (docs/MODEL.md §10): sharding across independent
     snapshot instances, multicore load generation, latency histograms. *)
 module Runtime = struct
+  module Placement = Psnap_runtime.Placement
   module Sharded = Psnap_runtime.Sharded
   module Resilient = Psnap_runtime.Resilient
   module Loadgen = Psnap_runtime.Loadgen

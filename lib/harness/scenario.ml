@@ -197,13 +197,15 @@ let flat (module S : Snapshot.S) w ~check =
 
 let max_rounds = 6
 
+let partition = `Round_robin
+
 let resilient ~shards ~stick_epoch ~stall_shard ~slow_pid w =
   check_shape w;
   let module RS =
     Runtime.Resilient.Make (Mem.Sim) (Sim_fig3_selfcheck) (Sim_fig3_hardened)
       (struct
         let shards = shards
-        let partition = `Round_robin
+        let partition = partition
         let max_rounds = max_rounds
         let backoff_base = 2
         let backoff_max = 16
@@ -214,6 +216,7 @@ let resilient ~shards ~stick_epoch ~stall_shard ~slow_pid w =
       end)
   in
   let init = init w in
+  let place = Runtime.Placement.make partition ~shards ~m:w.m in
   let atomic = ref 0 and overruns = ref 0 in
   let post_heal = ref 0 and worst_rounds = ref 0 and worst_collects = ref 0 in
   let build rec_ =
@@ -237,7 +240,10 @@ let resilient ~shards ~stick_epoch ~stall_shard ~slow_pid w =
       let idxs = scan_set w pid in
       for _ = 1 to w.scans do
         let inv = Sim.mark () in
-        let out = RS.scan_outcome h idxs in
+        let out =
+          Metrics.measure rec_ ~pid ~kind:"scan" (fun () ->
+              RS.scan_outcome h idxs)
+        in
         let resp = Sim.mark () in
         let rounds = RS.last_scan_rounds h in
         worst_rounds := max !worst_rounds rounds;
@@ -257,8 +263,9 @@ let resilient ~shards ~stick_epoch ~stall_shard ~slow_pid w =
             :: !atomic_entries;
           (match stick_epoch with
           | Some s
-            when s < RS.nshards t
-                 && Array.exists (fun i -> i mod RS.nshards t = s) idxs
+            when Array.exists
+                   (fun i -> fst (Runtime.Placement.locate place i) = s)
+                   idxs
                  && RS.shard_gen t ~pid s > 1 ->
             incr post_heal
           | _ -> ())

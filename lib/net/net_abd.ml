@@ -321,10 +321,14 @@ let pool_nodes_of cc = List.init cc.pool (fun i -> cc.clients + i)
    until [need] holds; rebroadcast with a linearly growing poll budget
    (the backoff), at most [max_attempts] times, then give up.  Returns the
    poll-steps spent (the quorum-latency contribution).  A [Stale] reply
-   carrying a strictly newer configuration is adopted here and aborts the
-   operation with {!Epoch_changed}; a same-epoch [Stale] (a sealed
-   replica) is ignored — the resend/backoff loop rides out the transfer
-   window and the [Unavailable] path chases the new configuration. *)
+   carrying a configuration newer than the phase's epoch, and no older
+   than the cached view, is adopted here and aborts the operation with
+   {!Epoch_changed} — also when the view already holds it: a multicore
+   client's view follows the shared configuration cell, so it can move
+   past the epoch an operation started in.  A same-epoch [Stale] (a
+   sealed replica) is ignored — the resend/backoff loop rides out the
+   transfer window and the [Unavailable] path chases the new
+   configuration.  The manager's view never lets a [Stale] abort. *)
 let run_phase ?attempts ?budget ctx ~reqid ~epoch ~targets ~mk ~need ~on =
   let max_attempts = Option.value attempts ~default:ctx.cc.max_attempts in
   let base_budget = Option.value budget ~default:ctx.cc.poll_budget in
@@ -349,7 +353,9 @@ let run_phase ?attempts ?budget ctx ~reqid ~epoch ~targets ~mk ~need ~on =
               match m.body with
               | Stale { cfg } ->
                   let cur = ctx.view () in
-                  if cfg.epoch > cur.epoch && cfg.members <> [] then begin
+                  if cfg.epoch > epoch && cfg.epoch >= cur.epoch
+                     && cfg.members <> []
+                  then begin
                     ctx.adopt cfg;
                     Metrics.(incr Reconfig.epoch_chases);
                     raise Epoch_changed

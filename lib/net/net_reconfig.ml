@@ -273,12 +273,17 @@ type mc_t = {
   mc : Net_abd.mc_cluster;
   mc_mode : mode;
   mutable mc_cur : Net_abd.config;
+  mutable mc_sealed : (Net_abd.config * Net_abd.xfer) option;
+      (* a target whose seal phase completed, with the state it
+         collected: its install may have reached members that now
+         refuse the old epoch's [Seal], so a retry re-drives the install
+         alone *)
 }
 
 let mc_attach ?(mode = Fenced) mc =
   Net_abd.mc_set_fenced mc (mode = Fenced);
   Net_abd.mc_set_reconfig_active mc true;
-  { mc; mc_mode = mode; mc_cur = Net_abd.mc_config mc }
+  { mc; mc_mode = mode; mc_cur = Net_abd.mc_config mc; mc_sealed = None }
 
 let mc_current_config t = t.mc_cur
 
@@ -286,12 +291,21 @@ let mc_current_config t = t.mc_cur
    to [members] under a fresh epoch, activate by publishing the new
    configuration to the shared cell.
    @raise Net_abd.Unavailable when a phase cannot reach its quorum (the
-   caller decides whether the service is permanently lost). *)
+   caller decides whether the service is permanently lost).  A retry for
+   the same members resumes after the last completed phase. *)
 let mc_reconfigure t ~members =
   let target : Net_abd.config = { epoch = t.mc_cur.epoch + 1; members } in
   let ctx = Net_abd.mc_manager_ctx t.mc in
-  let x = Net_abd.collect_state ctx ~cfg:t.mc_cur in
+  let x =
+    match t.mc_sealed with
+    | Some (sealed, x) when sealed = target -> x
+    | _ ->
+      let x = Net_abd.collect_state ctx ~cfg:t.mc_cur in
+      t.mc_sealed <- Some (target, x);
+      x
+  in
   Net_abd.install_state ctx ~cfg:target x;
+  t.mc_sealed <- None;
   t.mc_cur <- target;
   Net_abd.mc_set_config t.mc target;
   Metrics.(incr Reconfig.reconfigs);

@@ -80,6 +80,9 @@ val mc_attach : ?mode:mode -> Net_abd.mc_cluster -> mc_t
 val mc_current_config : mc_t -> Net_abd.config
 
 (** [mc_reconfigure t ~members] — seal, transfer, activate; returns the
-    new configuration.
+    new configuration.  Retrying with the same [members] after
+    [Unavailable] resumes after the last completed phase: once the old
+    configuration is sealed, only the install is re-driven (members the
+    lost install already reached refuse the old epoch's seal).
     @raise Net_abd.Unavailable when a phase cannot reach its quorum. *)
 val mc_reconfigure : mc_t -> members:int list -> Net_abd.config

@@ -138,21 +138,14 @@ struct
   (* Append + barrier, verified against an intervening power loss: if the
      loss counter moved inside the window the record may have been eaten
      from the write cache before the barrier covered it, so re-append.
-     The retry can duplicate an lsn that did survive — harmless, recovery
-     applies each lsn once. *)
+     The retry can duplicate an lsn that did survive, and so can a resumed
+     commit whose dead incarnation had already appended it — harmless,
+     recovery applies each lsn once. *)
   let rec append_durably t record =
     let l0 = St.losses t.dev in
     W.append t.dev record;
     St.sync t.dev;
     if St.losses t.dev <> l0 then append_durably t record
-
-  (* Owner-recovery variant: the previous incarnation may already have
-     appended (and even synced) this lsn, so check the log first. *)
-  let rec append_durably_resumed t record ~lsn =
-    let l0 = St.losses t.dev in
-    if not (W.has_lsn t.dev lsn) then W.append t.dev record;
-    St.sync t.dev;
-    if St.losses t.dev <> l0 then append_durably_resumed t record ~lsn
 
   (* Must hold the lock (Held or Sealing), under which [committed] is
      exactly the state of every lsn below [next_lsn]: seal it, no scan. *)
@@ -167,16 +160,15 @@ struct
        && t.commits_since_ckpt >= t.cfg.checkpoint_every
     then do_checkpoint t ~next_lsn
 
-  (* Finish a commit whose intent is published in the lock.  [resumed]
-     marks an intent inherited from a crashed incarnation of this pid. *)
-  let complete h ~lsn ~index ~value ~resumed =
+  (* Finish a commit whose intent is published in the lock, possibly one
+     inherited from a crashed incarnation of this pid. *)
+  let complete h ~lsn ~index ~value =
     let t = h.t in
     let record =
       Wal.Update { lsn; pid = h.pid; index; payload = Marshal.to_string value [] }
     in
     if t.cfg.write_ahead then begin
-      if resumed then append_durably_resumed t record ~lsn
-      else append_durably t record;
+      append_durably t record;
       (* Re-applying an inherited intent may write a value [Inner] already
          holds — same value, observationally idempotent. *)
       Inner.update h.h index value
@@ -206,10 +198,10 @@ struct
     | Free lsn ->
       let intent = Held { pid = h.pid; lsn; index; value } in
       if M.cas t.lock ~expected:cur ~desired:intent then
-        complete h ~lsn ~index ~value ~resumed:false
+        complete h ~lsn ~index ~value
       else update h index value
     | Held { pid; lsn; index = i0; value = v0 } when pid = h.pid ->
-      complete h ~lsn ~index:i0 ~value:v0 ~resumed:true;
+      complete h ~lsn ~index:i0 ~value:v0;
       update h index value
     | Sealing { pid; next_lsn } when pid = h.pid ->
       (* A checkpoint died with its incarnation: the incomplete triple is
@@ -224,7 +216,7 @@ struct
   let resume h =
     match M.read h.t.lock with
     | Held { pid; lsn; index; value } when pid = h.pid ->
-      complete h ~lsn ~index ~value ~resumed:true
+      complete h ~lsn ~index ~value
     | Sealing { pid; next_lsn } when pid = h.pid ->
       M.write h.t.lock (Free next_lsn)
     | Free _ | Held _ | Sealing _ -> ()
@@ -244,7 +236,7 @@ struct
       end
       else checkpoint_now h
     | Held { pid; lsn; index; value } when pid = h.pid ->
-      complete h ~lsn ~index ~value ~resumed:true;
+      complete h ~lsn ~index ~value;
       checkpoint_now h
     | Sealing { pid; next_lsn } when pid = h.pid ->
       M.write t.lock (Free next_lsn);

@@ -7,7 +7,10 @@
    under the commit lock, log order is apply order; the lsn-monotone
    filter makes replay idempotent under the duplicate appends that owner
    recovery may produce (an intent completed twice appends the same lsn
-   twice — adjacent, applied once).
+   twice, applied once).  The two copies need not be adjacent: a dead
+   incarnation's checkpoint triple, torn or complete, can sit between
+   them, and the filter still drops the second copy (a complete triple
+   sets it to the last lsn the triple covers, the first copy's).
 
    Recovery is one forward fold over the log's frames ([Wal.fold]), in
    place on the device's bytes and with no record list, and it

@@ -313,14 +313,4 @@ module Make (St : Storage.S) = struct
 
   let read_all ?repair dev =
     collected (fold ?repair dev cons [] ~finish:(fun acc _ -> acc))
-
-  (* Does the durable log already hold an update with this lsn?  Used by
-     owner recovery to make its completion append idempotent. *)
-  let has_lsn dev lsn =
-    (fold dev
-       (fun found log at _ ->
-         found || (Frame.kind log at = 'U' && Frame.lsn log at = lsn))
-       false
-       ~finish:(fun found _ -> found))
-      .acc
 end

@@ -118,9 +118,4 @@ module Make (St : Storage.S) : sig
 
   val read_all : ?repair:bool -> St.t -> decoded
   (** [fold] collecting the records. *)
-
-  val has_lsn : St.t -> int -> bool
-  (** Is there an update record with this lsn in the log's valid prefix?
-      Owner recovery uses this to make its completion append
-      idempotent. *)
 end

@@ -1,0 +1,34 @@
+(* Component placement for the sharded serving layers; see placement.mli. *)
+
+type t = {
+  partition : [ `Round_robin | `Range ];
+  nshards : int;
+  q : int;  (** base shard size [m / nshards] *)
+  rem : int;  (** the first [rem] shards get [q+1] *)
+}
+
+let make partition ~shards ~m =
+  let nshards = min shards m in
+  { partition; nshards; q = m / nshards; rem = m mod nshards }
+
+let nshards p = p.nshards
+
+let locate p i =
+  match p.partition with
+  | `Round_robin -> (i mod p.nshards, i / p.nshards)
+  | `Range ->
+    let cut = p.rem * (p.q + 1) in
+    if i < cut then (i / (p.q + 1), i mod (p.q + 1))
+    else
+      let j = i - cut in
+      (p.rem + (j / p.q), j mod p.q)
+
+(* Both layouts give the first [rem] shards one extra component. *)
+let size p s = if s < p.rem then p.q + 1 else p.q
+
+let global p s j =
+  match p.partition with
+  | `Round_robin -> (j * p.nshards) + s
+  | `Range ->
+    if s < p.rem then (s * (p.q + 1)) + j
+    else (p.rem * (p.q + 1)) + ((s - p.rem) * p.q) + j

@@ -2,19 +2,19 @@
    that makes every operation bounded and honest about degradation.
 
    See resilient.mli for the API contract and docs/MODEL.md §11 for the
-   degradation semantics.  The construction mirrors Sharded's geometry
-   (per-shard snapshot instances, per-shard epochs) but validates a
-   cross-shard scan over rounds of per-shard sub-scans, where Sharded
-   double-collects single-component reads, and adds three mechanisms on
-   top:
+   degradation semantics.  The construction shares Sharded's placement
+   (Placement) and its cross-shard validation: per-shard snapshot
+   instances, per-shard epochs installed with each value, and a scan that
+   double-collects single-component reads until two collects agree.  It
+   adds three mechanisms on top:
 
-   - scans carry a round budget with exponential backoff between failed
-     validation rounds; on exhaustion they return [Degraded] instead of
-     retrying forever;
+   - scans carry a collect budget with exponential backoff between
+     disagreeing collects; on exhaustion they return [Degraded] instead
+     of retrying forever;
    - each shard has a circuit breaker (closed / open / half-open) fed by
      hardened-register fault counters, validation-failure attribution and
-     stuck-epoch detection; open shards are read once, unvalidated, and
-     flagged;
+     stuck-epoch detection; open shards are read once per scan, by one
+     unvalidated sub-scan, and flagged;
    - a wounded shard is healed: sealed against updates, drained to
      quiescence, copied by one final sub-scan, rebuilt on the replacement
      implementation [R] (hardened memory), and swapped in by CAS.
@@ -26,7 +26,9 @@
    (a stuck fetch&add returns the same epoch twice — the nonce keeps the
    two updates distinguishable, so validation never silently accepts a
    changed component, and the non-monotone draw is itself the detector
-   that triggers healing). *)
+   that triggers healing).  A heal copies every tag with its value, so
+   two collects that agree across a generation swap still saw an
+   unchanged component. *)
 
 module Metrics = Psnap_sched.Metrics
 
@@ -113,10 +115,8 @@ struct
     scratch : int M.ref_;  (** backoff target: reads cost steps/yield *)
     breakers : breaker array;
     n : int;
-    nshards : int;
+    place : Placement.t;
     m : int;
-    q : int;
-    rem : int;
   }
 
   type 'a shard_handle = HP of (tag * 'a) S.handle | HR of (tag * 'a) R.handle
@@ -144,48 +144,20 @@ struct
         rounds : int;
       }
 
-  (* ---- geometry (same placement functions as Sharded) ---- *)
-
-  let locate t i =
-    match C.partition with
-    | `Round_robin -> (i mod t.nshards, i / t.nshards)
-    | `Range ->
-      let cut = t.rem * (t.q + 1) in
-      if i < cut then (i / (t.q + 1), i mod (t.q + 1))
-      else
-        let j = i - cut in
-        (t.rem + (j / t.q), j mod t.q)
-
-  let shard_size t s =
-    match C.partition with
-    | `Round_robin -> (t.m - s + t.nshards - 1) / t.nshards
-    | `Range -> if s < t.rem then t.q + 1 else t.q
-
   let create ~n init =
     let m = Array.length init in
     if m = 0 then invalid_arg "Resilient.create: empty";
     if C.shards < 1 then invalid_arg "Resilient.create: shards < 1";
     if C.max_rounds < 2 then invalid_arg "Resilient.create: max_rounds < 2";
     if C.heal_quiesce < 1 then invalid_arg "Resilient.create: heal_quiesce < 1";
-    let nshards = min C.shards m in
-    let q = m / nshards and rem = m mod nshards in
-    let size s =
-      match C.partition with
-      | `Round_robin -> (m - s + nshards - 1) / nshards
-      | `Range -> if s < rem then q + 1 else q
-    in
-    let global s j =
-      match C.partition with
-      | `Round_robin -> (j * nshards) + s
-      | `Range ->
-        if s < rem then (s * (q + 1)) + j
-        else (rem * (q + 1)) + ((s - rem) * q) + j
-    in
+    let place = Placement.make C.partition ~shards:C.shards ~m in
+    let nshards = Placement.nshards place in
     let ptrs =
       Array.init nshards (fun s ->
           let sub =
             S.create ~n
-              (Array.init (size s) (fun j -> ((0, 0), init.(global s j))))
+              (Array.init (Placement.size place s) (fun j ->
+                   ((0, 0), init.(Placement.global place s j))))
           in
           (* drawn epochs start at 1: never collide with the initial 0 *)
           let epoch = M.make ~name:(Printf.sprintf "rshard%d.epoch" s) 1 in
@@ -205,20 +177,19 @@ struct
         Array.init nshards (fun _ ->
             { bstate = Closed; strikes = 0; cooldown = 0; probes = 0 });
       n;
-      nshards;
+      place;
       m;
-      q;
-      rem;
     }
 
   let handle t ~pid =
+    let nshards = Array.length t.ptrs in
     {
       t;
       pid;
-      cache = Array.make t.nshards None;
-      last_epoch = Array.make t.nshards (-1);
-      last_gen = Array.make t.nshards 0;
-      stuck_reported = Array.make t.nshards false;
+      cache = Array.make nshards None;
+      last_epoch = Array.make nshards (-1);
+      last_gen = Array.make nshards 0;
+      stuck_reported = Array.make nshards false;
       collects = 0;
       rounds = 0;
       degraded = false;
@@ -265,8 +236,7 @@ struct
   let breaker_skips t s =
     let b = t.breakers.(s) in
     match b.bstate with
-    | Closed -> false
-    | Half_open -> false
+    | Closed | Half_open -> false
     | Open ->
       if b.cooldown > 0 then b.cooldown <- b.cooldown - 1;
       if b.cooldown <= 0 then begin
@@ -315,7 +285,7 @@ struct
           Metrics.(incr Serving.heals_aborted)
       end
       else begin
-        let idxs = Array.init (shard_size t s) Fun.id in
+        let idxs = Array.init (Placement.size t.place s) Fun.id in
         let rows =
           match st.impl with
           | Prim p -> S.scan (S.handle p ~pid) idxs
@@ -337,12 +307,9 @@ struct
   let request_heal t ~pid s =
     (match M.read t.ptrs.(s) with
     | Sealed _ -> ()
-    | Active _ as cur -> (
-      match cur with
-      | Active st ->
-        if M.cas t.ptrs.(s) ~expected:cur ~desired:(Sealed st) then
-          Metrics.(incr Serving.heals_started)
-      | Sealed _ -> ()));
+    | Active st as cur ->
+      if M.cas t.ptrs.(s) ~expected:cur ~desired:(Sealed st) then
+        Metrics.(incr Serving.heals_started));
     complete_heal t ~pid s
 
   (* Current Active state of a shard, helping any in-progress heal.
@@ -379,7 +346,7 @@ struct
         (swap or abort) before the retry"] rec update h i v =
     let t = h.t in
     if i < 0 || i >= t.m then invalid_arg "Resilient.update: index";
-    let s, j = locate t i in
+    let s, j = Placement.locate t.place i in
     ignore (M.fetch_and_add t.inflight.(s) 1);
     match M.read t.ptrs.(s) with
     | Sealed _ ->
@@ -435,6 +402,76 @@ struct
     s.Psnap_mem.Hardened.corrupt_detected + s.stale_detected + s.lost_detected
     + s.retries
 
+  (* Shard [s]'s active instance, with any in-progress heal helped first. *)
+  let active h s = handle_for h s (active_state h.t ~pid:h.pid s)
+
+  (* One component's [(tag, value)] pair: the active instance's own
+     linearizable read. *)
+  let read_pair h (s, j) =
+    match active h s with HP hp -> S.read hp j | HR hr -> R.read hr j
+
+  (* One sub-scan of shard [s]: an atomic fragment of that shard.
+     Hardened detections that surface during it are charged to [s] — a
+     heuristic (other processes run concurrently), but fault-saturated
+     shards dominate the deltas they sit on. *)
+  let sub_scan h s js =
+    let ev0 = hardened_evidence () in
+    let rows =
+      match active h s with
+      | HP hp ->
+        let r = S.scan hp js in
+        h.collects <- h.collects + S.last_scan_collects hp;
+        r
+      | HR hr ->
+        let r = R.scan hr js in
+        h.collects <- h.collects + R.last_scan_collects hr;
+        r
+    in
+    if hardened_evidence () > ev0 then strike h.t s;
+    rows
+
+  (* One collect (and one round): each component's pair, one read each.
+     Detections are charged to the shard whose read surfaced them, at most
+     one strike per shard per collect. *)
+  let collect h locs =
+    h.rounds <- h.rounds + 1;
+    h.collects <- h.collects + 1;
+    let struck = ref [] in
+    Array.map
+      (fun ((s, _) as loc) ->
+        let ev0 = hardened_evidence () in
+        let pair = read_pair h loc in
+        if hardened_evidence () > ev0 && not (List.mem s !struck) then begin
+          struck := s :: !struck;
+          strike h.t s
+        end;
+        pair)
+      locs
+
+  let same_tag ((e, u) : tag) ((e', u') : tag) = e = e' && u = u'
+
+  (* Positions, ascending, whose tags differ between two collects. *)
+  let disagreeing prev cur =
+    List.filter
+      (fun p -> not (same_tag (fst prev.(p)) (fst cur.(p))))
+      (List.init (Array.length cur) Fun.id)
+
+  (* Positions, ascending, of the requested components whose shard
+     satisfies [keep]. *)
+  let positions locs keep =
+    List.init (Array.length locs) Fun.id
+    |> List.filter (fun k -> keep (fst locs.(k)))
+    |> Array.of_list
+
+  (* The requested values: each part pairs positions with the pairs read
+     for them, and the first part is non-empty. *)
+  let emit len parts =
+    let out = Array.make len (snd (snd (List.hd parts)).(0)) in
+    List.iter
+      (fun (pos, row) -> Array.iteri (fun p k -> out.(k) <- snd row.(p)) pos)
+      parts;
+    out
+
   let scan_outcome h idxs =
     let t = h.t in
     let len = Array.length idxs in
@@ -443,167 +480,76 @@ struct
     h.degraded <- false;
     if len = 0 then Atomic [||]
     else begin
-      Array.iter
-        (fun i ->
-          if i < 0 || i >= t.m then invalid_arg "Resilient.scan: index")
-        idxs;
-      (* group requested components by shard (same layout as Sharded) *)
-      let locs = Array.make t.nshards [] in
-      for k = len - 1 downto 0 do
-        let s, j = locate t idxs.(k) in
-        locs.(s) <- (j, k) :: locs.(s)
-      done;
-      let touched = ref [] in
-      for s = t.nshards - 1 downto 0 do
-        if locs.(s) <> [] then touched := s :: !touched
-      done;
-      let touched = Array.of_list !touched in
-      let nt = Array.length touched in
-      let sub_idx =
-        Array.map (fun s -> Array.of_list (List.map fst locs.(s))) touched
+      let locs =
+        Array.map
+          (fun i ->
+            if i < 0 || i >= t.m then invalid_arg "Resilient.scan: index";
+            Placement.locate t.place i)
+          idxs
       in
-      let sub_pos =
-        Array.map (fun s -> Array.of_list (List.map snd locs.(s))) touched
+      (* touched shards, ascending; each breaker ticks once per scan *)
+      let touched =
+        List.sort_uniq Int.compare (Array.to_list (Array.map fst locs))
       in
-      (* open circuits: their sub-scan is taken once, unvalidated; the
-         result is a per-shard-atomic fragment and the scan is Degraded *)
-      let skip = Array.map (fun s -> breaker_skips t s) touched in
-      let n_validated = ref 0 in
-      Array.iter (fun sk -> if not sk then incr n_validated) skip;
-      let open_suspects =
-        Array.to_list touched
-        |> List.filteri (fun k _ -> skip.(k))
+      let open_ = List.filter (breaker_skips t) touched in
+      let validated = List.filter (fun s -> not (List.mem s open_)) touched in
+      let cross = List.compare_length_with validated 2 >= 0 in
+      (* One sub-scan per open shard, unvalidated.  A lone validated shard
+         is served by one sub-scan too: a sub-scan is linearizable on its
+         own, so it needs no double collect (and still counts as a
+         probe). *)
+      let fragments =
+        List.map
+          (fun s ->
+            let pos = positions locs (Int.equal s) in
+            (pos, sub_scan h s (Array.map (fun k -> snd locs.(k)) pos)))
+          (if cross then open_ else touched)
       in
-      let round () =
-        h.rounds <- h.rounds + 1;
-        Array.init nt (fun k ->
-            let s = touched.(k) in
-            let ev0 = hardened_evidence () in
-            let st = active_state t ~pid:h.pid s in
-            let rows =
-              match handle_for h s st with
-              | HP hp ->
-                let r = S.scan hp sub_idx.(k) in
-                h.collects <- h.collects + S.last_scan_collects hp;
-                r
-              | HR hr ->
-                let r = R.scan hr sub_idx.(k) in
-                h.collects <- h.collects + R.last_scan_collects hr;
-                r
-            in
-            (* hardened detections that surfaced during this sub-scan are
-               attributed to this shard — a heuristic (other processes run
-               concurrently), but fault-saturated shards dominate the
-               deltas they sit on *)
-            if hardened_evidence () > ev0 then strike t s;
-            rows)
-      in
-      let emit rows =
-        let _, v0 = rows.(0).(0) in
-        let out = Array.make len v0 in
-        for k = 0 to nt - 1 do
-          let pos = sub_pos.(k) and row = rows.(k) in
-          for p = 0 to Array.length row - 1 do
-            out.(pos.(p)) <- snd row.(p)
-          done
-        done;
-        out
-      in
-      (* shards (by position k) whose tags changed between two rounds —
-         only validated shards participate *)
-      let disagreeing prev cur =
-        let dis = ref [] in
-        for k = nt - 1 downto 0 do
-          if not skip.(k) then begin
-            let pk = prev.(k) and ck = cur.(k) in
-            let differs = ref false in
-            for p = 0 to Array.length pk - 1 do
-              if fst pk.(p) <> fst ck.(p) then differs := true
-            done;
-            if !differs then dis := k :: !dis
-          end
-        done;
-        !dis
-      in
-      (* components that failed validation, with the epoch last seen *)
-      let failed_of prev cur dis =
-        List.concat_map
-          (fun k ->
-            let pk = prev.(k) and ck = cur.(k) and pos = sub_pos.(k) in
-            let acc = ref [] in
-            for p = Array.length pk - 1 downto 0 do
-              if fst pk.(p) <> fst ck.(p) then
-                acc := (idxs.(pos.(p)), fst (fst ck.(p))) :: !acc
-            done;
-            !acc)
-          dis
-      in
-      let finish outcome =
+      (* Atomic unless some shard is suspect *)
+      let finish ?(suspects = open_) ?(failed = []) values =
         Metrics.(add Serving.scan_rounds h.rounds);
         if h.rounds > 2 then Metrics.(add Serving.scan_retries (h.rounds - 2));
-        (match outcome with
-        | Degraded _ ->
+        if suspects = [] then Atomic values
+        else begin
           h.degraded <- true;
-          Metrics.(incr Serving.degraded_scans)
-        | Atomic _ -> ());
-        outcome
+          Metrics.(incr Serving.degraded_scans);
+          Degraded { values; suspects; failed; rounds = h.rounds }
+        end
       in
-      if !n_validated >= 2 then begin
-        (* epoch-validated double collect over whole rounds, with a round
-           budget: C.max_rounds rounds in total, then Degraded *)
+      if not cross then begin
+        h.rounds <- 1;
+        List.iter (breaker_ok t) validated;
+        finish (emit len fragments)
+      end
+      else begin
+        (* Sharded's double collect over the validated components, under a
+           budget: C.max_rounds collects in total, then Degraded *)
+        let vpos = positions locs (fun s -> not (List.mem s open_)) in
+        let vlocs = Array.map (fun k -> locs.(k)) vpos in
         let[@psnap.bounded
-             "at most C.max_rounds rounds: every iteration increments \
+             "at most C.max_rounds collects: every collect increments \
               h.rounds and the budget check precedes the recursion"] rec
             settle prev =
-          let cur = round () in
+          let cur = collect h vlocs in
+          let parts = (vpos, cur) :: fragments in
           match disagreeing prev cur with
           | [] ->
-            Array.iteri (fun k s -> if not skip.(k) then breaker_ok t s) touched;
-            if open_suspects = [] then finish (Atomic (emit cur))
-            else
-              finish
-                (Degraded
-                   {
-                     values = emit cur;
-                     suspects = open_suspects;
-                     failed = [];
-                     rounds = h.rounds;
-                   })
+            List.iter (breaker_ok t) validated;
+            finish (emit len parts)
           | dis when h.rounds >= C.max_rounds ->
-            let suspects = List.map (fun k -> touched.(k)) dis in
-            List.iter (fun s -> strike t s) suspects;
-            finish
-              (Degraded
-                 {
-                   values = emit cur;
-                   suspects = open_suspects @ suspects;
-                   failed = failed_of prev cur dis;
-                   rounds = h.rounds;
-                 })
+            let suspects =
+              List.sort_uniq Int.compare (List.map (fun p -> fst vlocs.(p)) dis)
+            in
+            List.iter (strike t) suspects;
+            finish ~suspects:(open_ @ suspects)
+              ~failed:
+                (List.map (fun p -> (idxs.(vpos.(p)), fst (fst cur.(p)))) dis)
+              (emit len parts)
           | _ ->
             backoff h (h.rounds - 1);
             settle cur
         in
-        settle (round ())
-      end
-      else begin
-        (* 0 or 1 validated shards: a single round suffices — each
-           sub-scan is linearizable on its own, so one validated shard
-           needs no cross-round agreement (and its trivially successful
-           validation still counts as a probe) while open shards never
-           get one *)
-        let cur = round () in
-        Array.iteri (fun k s -> if not skip.(k) then breaker_ok t s) touched;
-        if open_suspects = [] then finish (Atomic (emit cur))
-        else
-          finish
-            (Degraded
-               {
-                 values = emit cur;
-                 suspects = open_suspects;
-                 failed = [];
-                 rounds = h.rounds;
-               })
+        settle (collect h vlocs)
       end
     end
 
@@ -612,15 +558,10 @@ struct
     | Atomic vs -> vs
     | Degraded { values; _ } -> values
 
-  (* One component lives in one shard: the active instance's own
-     linearizable read, with any in-progress heal helped first. *)
   let read h i =
     let t = h.t in
     if i < 0 || i >= t.m then invalid_arg "Resilient.read: index";
-    let s, j = locate t i in
-    match handle_for h s (active_state t ~pid:h.pid s) with
-    | HP hp -> snd (S.read hp j)
-    | HR hr -> snd (R.read hr j)
+    snd (read_pair h (Placement.locate t.place i))
 
   let last_scan_collects h = h.collects
 
@@ -630,7 +571,7 @@ struct
 
   (* ---- introspection / administration ---- *)
 
-  let nshards t = t.nshards
+  let nshards t = Array.length t.ptrs
 
   let breaker_state t s = t.breakers.(s).bstate
 

@@ -3,7 +3,8 @@
 
     [Make (M) (S) (R) (C)] supervises a {!Sharded}-style construction —
     [C.shards] instances of the primary snapshot implementation [S] over
-    memory backend [M], epoch-validated cross-shard scans — and makes
+    memory backend [M], placed by {!Placement}, with {!Sharded}'s
+    epoch-validated double collect for cross-shard scans — and makes
     every operation {e bounded and honest}: an operation either completes
     with its full guarantee or returns an explicit, machine-readable
     account of what it could not guarantee.  It never retries without
@@ -11,29 +12,29 @@
 
     {2 Deadlines and backoff}
 
-    A validated cross-shard scan runs rounds of per-shard sub-scans until
-    two consecutive rounds agree on every epoch (the round-based form of
-    {!Sharded}'s double collect), under a round budget [C.max_rounds].
-    Between failed rounds it backs off — bounded exponential delay with
-    deterministic (pid, attempt)-derived jitter, spent as reads of a
-    scratch cell so each delay unit is a scheduling point in the simulator
-    and a cheap spin on real atomics.  When the budget is exhausted the
-    scan returns [Degraded] carrying the last round's values (each shard's
-    fragment is still an atomic sub-snapshot), the suspect shards, and the
-    [(component, epoch)] pairs that failed validation.  See docs/MODEL.md
-    §11 for the exact degradation contract.
+    A scan whose validated components span two or more shards repeats
+    collects — one linearizable read of each component's
+    [((epoch, nonce), v)] pair — until two consecutive ones agree on
+    every tag, at most [C.max_rounds] collects; a scan with at most one
+    validated shard is one sub-scan of it.  Between disagreeing collects
+    it backs off — bounded exponential delay with deterministic
+    (pid, attempt)-derived jitter, spent as reads of a scratch cell (a
+    scheduling point in the simulator, a cheap spin on real atomics).
+    On exhaustion the scan returns [Degraded]; see docs/MODEL.md §11 for
+    the exact degradation contract.
 
     {2 Circuit breakers}
 
     Each shard has a closed / open / half-open breaker fed by three
     evidence streams: hardened-register fault detections
-    ({!Psnap_mem.Hardened.stats} deltas sampled around each sub-scan),
-    validation-failure attribution from budget-exhausted scans, and
-    stuck-epoch detections from updates.  [C.breaker_threshold]
-    consecutive strikes open the circuit; while open, scans read the
-    shard once, {e unvalidated}, report it in [Degraded.suspects], and do
-    not burn validation rounds on it — a stalled or fault-saturated shard
-    cannot drag down scans of healthy shards.  After
+    ({!Psnap_mem.Hardened.stats} deltas around each read or sub-scan, at
+    most one strike per shard per collect), the shards of components
+    still disagreeing when a scan's budget runs out, and stuck-epoch
+    detections from updates.  [C.breaker_threshold] consecutive strikes
+    open the circuit; while open, each scan serves the shard by one
+    {e unvalidated} sub-scan and reports it in [Degraded.suspects] — a
+    stalled or fault-saturated shard cannot drag down scans of healthy
+    shards.  After
     [C.breaker_cooldown] scans the breaker half-opens and probes:
     [C.probe_successes] consecutive validated scans re-close it; one
     failed probe reopens it.
@@ -49,7 +50,9 @@
     [R] (typically hardened, replicated memory) with a fresh epoch cell,
     and CASes the new instance in with a bumped generation.  Handles
     re-resolve their per-shard sub-handles by generation, so the swap is
-    transparent.  If quiescence is never reached (e.g. an updater crashed
+    transparent, and tags are copied with their values, so collects that
+    agree across the swap saw unchanged components.  If quiescence is
+    never reached (e.g. an updater crashed
     inside its window) the heal {e aborts} and restores the old instance:
     bounded failure, not an unbounded wait.
 
@@ -76,11 +79,11 @@ module type CONFIG = sig
   (** Component placement, as in {!Sharded.CONFIG}. *)
 
   val max_rounds : int
-  (** Scan round budget, ≥ 2.  A validated cross-shard scan runs at most
-      this many rounds before returning [Degraded]. *)
+  (** Scan collect budget, ≥ 2.  A validated cross-shard scan takes at
+      most this many collects before returning [Degraded]. *)
 
   val backoff_base : int
-  (** Backoff delay after the first failed validation round, in scratch
+  (** Backoff delay after the first disagreeing collect, in scratch
       reads (= simulator steps).  [0] disables backoff. *)
 
   val backoff_max : int
@@ -117,17 +120,16 @@ module Make
         (** fully validated: linearizable across all touched shards *)
     | Degraded of {
         values : 'a array;
-            (** best-effort view: every shard's fragment is individually
-                an atomic sub-snapshot of that shard, but cross-shard
-                consistency is NOT guaranteed *)
+            (** best-effort view: each value was held during the scan,
+                and an open shard's values are an atomic fragment of that
+                shard, but the whole is NOT guaranteed to be a snapshot *)
         suspects : int list;
-            (** shards that were skipped (breaker open) or still failed
-                validation when the round budget ran out *)
+            (** open shards, then the shards of [failed] components *)
         failed : (int * int) list;
             (** [(component index, last observed epoch)] for each
-                component that failed validation in the final round pair;
-                empty when degradation is due to open breakers only *)
-        rounds : int;  (** rounds actually spent *)
+                component whose tag differed between the last two
+                collects; empty when only open breakers degraded it *)
+        rounds : int;  (** as [last_scan_rounds] *)
       }
 
   val name : string
@@ -143,7 +145,7 @@ module Make
 
   val scan_outcome : 'a handle -> int array -> 'a outcome
   (** The honest scan: [Atomic] or an explicit [Degraded] account.  At
-      most [C.max_rounds] rounds.  Also recorded in
+      most [C.max_rounds] collects.  Also recorded in
       the {!Psnap_sched.Metrics.Serving} counters. *)
 
   val scan : 'a handle -> int array -> 'a array
@@ -156,9 +158,11 @@ module Make
       in-progress heal of that shard first). *)
 
   val last_scan_collects : 'a handle -> int
+  (** The most recent scan's collects, its sub-scans' included. *)
 
   val last_scan_rounds : 'a handle -> int
-  (** Rounds spent by this handle's most recent scan (≤ [C.max_rounds]). *)
+  (** The most recent scan's collects outside sub-scans (≤ [C.max_rounds]),
+      or 1 for a scan served by sub-scans alone. *)
 
   val last_scan_degraded : 'a handle -> bool
   (** Whether this handle's most recent scan returned [Degraded]. *)

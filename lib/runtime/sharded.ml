@@ -35,10 +35,8 @@ struct
     epochs : int M.ref_ array;  (** per-shard epoch source: every update
                                     draws a fresh shard-unique epoch by
                                     fetch&increment *)
-    nshards : int;  (** [min C.shards m]: no shard is ever empty *)
+    place : Placement.t;  (** [min C.shards m] shards: none is empty *)
     m : int;
-    q : int;  (** range partition: base block size [m / nshards] *)
-    rem : int;  (** range partition: the first [rem] shards get [q+1] *)
   }
 
   type 'a handle = {
@@ -50,46 +48,24 @@ struct
                                plus one for a single-shard fallback *)
   }
 
-  (* component i -> (shard, local index) *)
-  let locate t i =
-    match C.partition with
-    | `Round_robin -> (i mod t.nshards, i / t.nshards)
-    | `Range ->
-      let cut = t.rem * (t.q + 1) in
-      if i < cut then (i / (t.q + 1), i mod (t.q + 1))
-      else
-        let j = i - cut in
-        (t.rem + (j / t.q), j mod t.q)
-
   let create ~n init =
     let m = Array.length init in
     if m = 0 then invalid_arg "Sharded.create: empty";
     if C.shards < 1 then invalid_arg "Sharded.create: shards < 1";
-    let nshards = min C.shards m in
-    let q = m / nshards and rem = m mod nshards in
-    let size s =
-      match C.partition with
-      | `Round_robin -> (m - s + nshards - 1) / nshards
-      | `Range -> if s < rem then q + 1 else q
-    in
-    (* inverse of [locate]: the global index of shard [s]'s slot [j] *)
-    let global s j =
-      match C.partition with
-      | `Round_robin -> (j * nshards) + s
-      | `Range ->
-        if s < rem then (s * (q + 1)) + j
-        else (rem * (q + 1)) + ((s - rem) * q) + j
-    in
+    let place = Placement.make C.partition ~shards:C.shards ~m in
+    let nshards = Placement.nshards place in
     let sub =
       Array.init nshards (fun s ->
-          S.create ~n (Array.init (size s) (fun j -> (0, init.(global s j)))))
+          S.create ~n
+            (Array.init (Placement.size place s) (fun j ->
+                 (0, init.(Placement.global place s j)))))
     in
     (* drawn epochs start at 1, so they never collide with the initial 0 *)
     let epochs =
       Array.init nshards (fun s ->
           M.make ~name:(Printf.sprintf "shard%d.epoch" s) 1)
     in
-    { sub; epochs; nshards; m; q; rem }
+    { sub; epochs; place; m }
 
   let handle t ~pid =
     {
@@ -102,7 +78,7 @@ struct
   let update h i v =
     let t = h.t in
     if i < 0 || i >= t.m then invalid_arg "Sharded.update: index";
-    let s, j = locate t i in
+    let s, j = Placement.locate t.place i in
     let e = M.fetch_and_add t.epochs.(s) 1 in
     S.update h.hs.(s) j (e, v)
 
@@ -111,7 +87,7 @@ struct
   let fragments h locs =
     let all = List.init (Array.length locs) Fun.id in
     let out = ref [||] in
-    for s = 0 to h.t.nshards - 1 do
+    for s = 0 to Array.length h.t.sub - 1 do
       match List.filter (fun k -> fst locs.(k) = s) all with
       | [] -> ()
       | here ->
@@ -178,7 +154,7 @@ struct
         Array.map
           (fun i ->
             if i < 0 || i >= t.m then invalid_arg "Sharded.scan: index";
-            locate t i)
+            Placement.locate t.place i)
           idxs
       in
       let s0 = fst locs.(0) in
@@ -196,7 +172,7 @@ struct
   let read h i =
     let t = h.t in
     if i < 0 || i >= t.m then invalid_arg "Sharded.read: index";
-    let s, j = locate t i in
+    let s, j = Placement.locate t.place i in
     snd (S.read h.hs.(s) j)
 
   let last_scan_collects h = h.collects

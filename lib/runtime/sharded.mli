@@ -91,10 +91,9 @@ module type CONFIG = sig
       empty). *)
 
   val partition : [ `Round_robin | `Range ]
-  (** Component placement: [`Round_robin] stripes component [i] to shard
-      [i mod shards] (spreads hot low-numbered keys); [`Range] assigns
-      contiguous blocks of [m / shards] components (preserves locality of
-      range scans: a narrow range scan touches one shard). *)
+  (** Component placement, defined by {!Placement} (shared with
+      {!Resilient}): [`Round_robin] stripes component [i] to shard
+      [i mod shards]; [`Range] assigns contiguous blocks. *)
 
   val mode : [ `Validated | `Relaxed ]
   (** Cross-shard scan consistency; see above. *)

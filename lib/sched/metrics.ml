@@ -143,8 +143,8 @@ module Serving = struct
   let scan_rounds =
     c "scan_rounds"
       "scan rounds: a sharded scan's collects, plus one for a single-shard \
-       fallback sub-scan (1 per relaxed cross-shard scan); resilient \
-       validation rounds"
+       fallback sub-scan (1 per relaxed cross-shard scan); a resilient \
+       scan's collects (1 when served by sub-scans alone)"
   let scan_retries =
     c "scan_retries"
       "rounds beyond the validating pair: a sharded fallback counts one"

@@ -125,7 +125,24 @@ let test_duplicate_lsn_dedup () =
   let st = Recovery.replay ~init:[| -1; -2 |] records in
   check_bool "values" true (ints_of st = [| 10; 20 |]);
   check_int "duplicate applied once" 2 st.Recovery.replayed;
-  check_int "next lsn" 3 st.Recovery.next_lsn
+  check_int "next lsn" 3 st.Recovery.next_lsn;
+  (* a resumed commit re-appends after its dead incarnation's checkpoint
+     of that commit, torn or complete *)
+  let begin_ = Wal.Checkpoint_begin { gen = 1; next_lsn = 2 }
+  and seal = Wal.Scan_seal { gen = 1; payload = Marshal.to_string [| 10; -2 |] [] }
+  and end_ = Wal.Checkpoint_end { gen = 1 } in
+  List.iter
+    (fun (triple, replayed) ->
+      let st =
+        Recovery.replay ~init:[| -1; -2 |]
+          ((upd ~lsn:1 ~index:0 10 :: triple)
+          @ [ upd ~lsn:1 ~index:0 10; upd ~lsn:2 ~index:1 20 ])
+      in
+      check_bool "values" true (ints_of st = [| 10; 20 |]);
+      check_int "duplicate across a triple applied once" replayed
+        st.Recovery.replayed;
+      check_int "next lsn" 3 st.Recovery.next_lsn)
+    [ ([ begin_; seal ], 2); ([ begin_; seal; end_ ], 1) ]
 
 (* ---- replay equivalence ----
 
@@ -409,15 +426,6 @@ let test_bit_flips () =
       Wal.Checkpoint_begin { gen = 3; next_lsn = 99 };
     ]
 
-let test_has_lsn () =
-  St.reset ();
-  let dev = St.create ~name:"t" in
-  WIO.append dev (upd ~lsn:1 ~index:0 10);
-  WIO.append dev (upd ~lsn:3 ~index:1 20);
-  check_bool "present" true (WIO.has_lsn dev 1);
-  check_bool "present" true (WIO.has_lsn dev 3);
-  check_bool "absent" false (WIO.has_lsn dev 2)
-
 (* ---- what a recovery allocates ----
 
    Recovery folds over the device's own bytes, allocates nothing per
@@ -654,7 +662,6 @@ let () =
           Alcotest.test_case "checksummed but missized body" `Quick
             test_checksummed_but_missized;
           Alcotest.test_case "every bit flip is caught" `Quick test_bit_flips;
-          Alcotest.test_case "has_lsn" `Quick test_has_lsn;
         ] );
       ( "recovery",
         [

@@ -123,24 +123,28 @@ let test_breaker_lifecycle () =
   let t = RS_breaker.create ~n:2 [| 0; 0 |] in
   let states = ref [] in
   let atomic_again = ref false in
+  let storm_over = ref false in
   let updater () =
     let h = RS_breaker.handle t ~pid:0 in
     for k = 1 to 60 do
       RS_breaker.update h (k mod 2) k
-    done
+    done;
+    storm_over := true
   in
   let scanner () =
     let h = RS_breaker.handle t ~pid:1 in
-    (* enough scans to open the breaker while the updater is live, tick
-       through the cooldown, probe, and scan validated again after the
-       updater finished *)
-    for _ = 1 to 40 do
+    (* scan while the updater is live (opening the breaker), then enough
+       quiet scans to tick through the cooldown, probe, and scan
+       validated again *)
+    let quiet = ref 0 in
+    while !quiet < 8 do
+      if !storm_over then incr quiet;
       let out = RS_breaker.scan_outcome h [| 0; 1 |] in
       states :=
         (RS_breaker.breaker_state t 0, RS_breaker.breaker_state t 1)
         :: !states;
       match out with
-      | RS_breaker.Atomic _ -> atomic_again := true
+      | RS_breaker.Atomic _ -> if !storm_over then atomic_again := true
       | RS_breaker.Degraded _ -> ()
     done
   in
@@ -169,11 +173,21 @@ let test_force_open_isolates_shard () =
     (match RS.scan_outcome h [| 1; 5 |] with
     | RS.Atomic _ -> ()
     | RS.Degraded _ -> Alcotest.fail "healthy-shard scan degraded");
-    match RS.scan_outcome h [| 0; 1 |] with
+    (match RS.scan_outcome h [| 0; 1 |] with
     | RS.Atomic _ -> Alcotest.fail "open shard served as validated"
     | RS.Degraded { suspects; rounds; _ } ->
       check_bool "open shard suspected" true (List.mem 0 suspects);
-      check_int "no validation rounds wasted on it" 1 rounds
+      check_int "no validation rounds wasted on it" 1 rounds);
+    (* two validated shards besides the open one: their double collect
+       takes two collects, and the open shard one uncontended sub-scan
+       (two collects), not one per collect *)
+    match RS.scan_outcome h [| 0; 1; 2 |] with
+    | RS.Atomic _ -> Alcotest.fail "open shard served as validated"
+    | RS.Degraded { suspects; failed; rounds; _ } ->
+      check_bool "only the open shard suspected" true (suspects = [ 0 ]);
+      check_bool "nothing failed validation" true (failed = []);
+      check_int "a double collect" 2 rounds;
+      check_int "one sub-scan of the open shard" 4 (RS.last_scan_collects h)
   in
   ignore (Sim.run ~sched:(rr ()) [| body |]);
   check_bool "breaker still open" true (RS.breaker_state t 0 = RS.Open)

@@ -2,10 +2,12 @@
    percentiles, zipfian sampling, the sharded snapshot's partitioners,
    its cross-shard atomicity and its single-shard fast path and fallback
    (exact checker on small histories and exhaustive interleavings,
-   observation checker under a chaos nemesis), and a loadgen smoke run on real
-   domains.  The relaxed sharded mode is also driven to an actual
-   linearizability violation, so the validated mode's extra round is
-   demonstrably load-bearing. *)
+   observation checker under a chaos nemesis), the resilient layer's scans
+   through the same partitioner, lincheck and exhaustive tests plus their
+   collect accounting, and a loadgen smoke run on real domains.  The
+   relaxed sharded mode is also driven to an actual linearizability
+   violation, so the validated mode's extra round is demonstrably
+   load-bearing. *)
 
 open Psnap
 open Psnap_harness
@@ -189,6 +191,29 @@ let sharded_mc ~shards ~partition ~mode :
               let mode = mode
             end))
 
+(* The resilient layer's supervision knobs, with no backoff: its reads of
+   a scratch cell would only lengthen the schedules below. *)
+module Quiet_supervision = struct
+  let max_rounds = 6
+  let backoff_base = 0
+  let backoff_max = 0
+  let breaker_threshold = 3
+  let breaker_cooldown = 4
+  let probe_successes = 2
+  let heal_quiesce = 64
+end
+
+let resilient_mc ~shards ~partition : (module Snapshot.S) =
+  let module R =
+    Psnap_runtime.Resilient.Make (Mem.Atomic) (Mc_fig3) (Mc_fig3)
+      (struct
+        let shards = shards
+        let partition = partition
+        include Quiet_supervision
+      end)
+  in
+  (module R.Snap)
+
 let roundtrip (module S : Snapshot.S) ~m =
   let t = S.create ~n:1 (Array.init m (fun i -> i * 100)) in
   let h = S.handle t ~pid:0 in
@@ -218,8 +243,10 @@ let test_partitioners_roundtrip () =
       (* m=10, shards=3 exercises uneven shard sizes in both layouts *)
       roundtrip (sharded_mc ~shards:3 ~partition ~mode:`Validated) ~m:10;
       roundtrip (sharded_mc ~shards:3 ~partition ~mode:`Relaxed) ~m:10;
+      roundtrip (resilient_mc ~shards:3 ~partition) ~m:10;
       (* more shards than components: clamps to one component per shard *)
-      roundtrip (sharded_mc ~shards:8 ~partition ~mode:`Validated) ~m:3)
+      roundtrip (sharded_mc ~shards:8 ~partition ~mode:`Validated) ~m:3;
+      roundtrip (resilient_mc ~shards:8 ~partition) ~m:3)
     [ `Round_robin; `Range ]
 
 (* ---- exact linearizability on small histories ---- *)
@@ -274,7 +301,12 @@ let exact_lincheck (module S : Snapshot.S) =
 
 let test_exact_lincheck () =
   List.iter exact_lincheck
-    [ (module Sim_fig3); (module Sim_fig1); (module Sim_sharded_fig3) ]
+    [
+      (module Sim_fig3);
+      (module Sim_fig1);
+      (module Sim_sharded_fig3);
+      (module Sim_resilient_fig3.Snap);
+    ]
 
 (* ---- cross-shard scans: every interleaving of a tiny config ---- *)
 
@@ -284,6 +316,17 @@ module Sim_sharded_range2 =
       let shards = 2
       let partition = `Range
       let mode = `Validated
+    end)
+
+(* Its shards run the non-blocking partial snapshot, whose update and
+   read are one step each: the double collect under test only uses the
+   shards' reads, and each read already costs a pointer read besides. *)
+module Sim_resilient_range2 =
+  Psnap_runtime.Resilient.Make (Mem.Sim) (Sim_nonblocking) (Sim_nonblocking)
+    (struct
+      let shards = 2
+      let partition = `Range
+      include Quiet_supervision
     end)
 
 (* pid 0 applies [updates] in order; pid 1 reads components 0 and 1
@@ -326,22 +369,25 @@ module Explore_pair (S : Snapshot.S) = struct
     (!schedules, !rejected)
 end
 
-(* the two components live in different shards *)
-module Cross_pair = Explore_pair (Sim_sharded_range2)
-
 (* component 0, then component 1: a scan reading 0 before the first
    update and 1 after the second sees a cut that never existed *)
 let both = [ (0, 10); (1, 11) ]
 
-let test_cross_shard_exhaustive () =
-  let module S = Sim_sharded_range2 in
-  let schedules, rejected =
-    Cross_pair.run ~updates:both (fun h -> S.scan h [| 0; 1 |])
-  in
-  check_bool
-    (Printf.sprintf "double collect: %d interleavings explored" schedules)
-    true (schedules >= 100);
-  check_int "double collect: every interleaving linearizable" 0 rejected;
+(* The two components live in different shards.  The scan runs against
+   each update sequence in [runs]; the single collect against [both]. *)
+let cross_shard_exhaustive ((module S : Snapshot.S), runs) =
+  let module Cross_pair = Explore_pair (S) in
+  List.iter
+    (fun updates ->
+      let schedules, rejected =
+        Cross_pair.run ~updates (fun h -> S.scan h [| 0; 1 |])
+      in
+      check_bool
+        (Printf.sprintf "%s double collect: %d interleavings explored" S.name
+           schedules)
+        true (schedules >= 100);
+      check_int "double collect: every interleaving linearizable" 0 rejected)
+    runs;
   (* the same reads without the second collect: the checker must catch
      the torn cut (old component 0, new component 1) *)
   let _, rejected =
@@ -350,8 +396,18 @@ let test_cross_shard_exhaustive () =
         [| v0; S.read h 1 |])
   in
   check_bool
-    (Printf.sprintf "single collect convicted in %d interleavings" rejected)
+    (Printf.sprintf "%s single collect convicted in %d interleavings" S.name
+       rejected)
     true (rejected > 0)
+
+(* A resilient collect reads twice as many cells, so its scan meets one
+   update at a time: against both, the space outgrows the test budget. *)
+let test_cross_shard_exhaustive () =
+  List.iter cross_shard_exhaustive
+    [
+      ((module Sim_sharded_range2), [ both ]);
+      ((module Sim_resilient_range2.Snap), List.map (fun u -> [ u ]) both);
+    ]
 
 (* ---- cross-shard scans: a retry costs one collect ---- *)
 
@@ -389,6 +445,92 @@ let test_retry_accounting () =
   check_int "last_scan_collects" 3 !collects;
   check_int "one retry counted" 1
     (Psnap_sched.Metrics.(get Serving.scan_retries) - retries0)
+
+(* The same accounting through the resilient layer, where each read of a
+   collect also reads its shard's pointer: a quiet cross-shard scan is
+   two collects and no sub-scan, and an update landing between the first
+   two collects costs one more. *)
+let test_resilient_accounting () =
+  let module S = Sim_resilient_range2 in
+  let run ~interfere =
+    Sim.reset_prerun_oids ();
+    let t = S.create ~n:2 [| -1; -2 |] in
+    let counts = ref (0, 0) and out = ref [||] in
+    let scanner () =
+      let h = S.handle t ~pid:0 in
+      (match S.scan_outcome h [| 0; 1 |] with
+      | S.Atomic vs -> out := vs
+      | S.Degraded _ -> Alcotest.fail "scan degraded");
+      counts := (S.last_scan_rounds h, S.last_scan_collects h)
+    in
+    let updater () = if interfere then S.update (S.handle t ~pid:1) 1 7 in
+    let retries0 = Psnap_sched.Metrics.(get Serving.scan_retries) in
+    (* the scan's first collect (two pointer reads, two reads), then the
+       whole update, then the rest of the scan *)
+    ignore
+      (Sim.run ~sched:(scanner_then_updater ~head:4) [| scanner; updater |]);
+    (!out, !counts, Psnap_sched.Metrics.(get Serving.scan_retries) - retries0)
+  in
+  let out, (rounds, collects), retries = run ~interfere:false in
+  Alcotest.(check (array int)) "quiet scan" [| -1; -2 |] out;
+  check_int "quiet: last_scan_rounds" 2 rounds;
+  check_int "quiet: last_scan_collects, no sub-scan" 2 collects;
+  check_int "quiet: no retry" 0 retries;
+  let out, (rounds, collects), retries = run ~interfere:true in
+  Alcotest.(check (array int)) "scan sees the update" [| -1; 7 |] out;
+  check_int "interfered: last_scan_rounds" 3 rounds;
+  check_int "interfered: last_scan_collects, no sub-scan" 3 collects;
+  check_int "interfered: one retry counted" 1 retries
+
+(* With its epoch cell stuck, shard 1 tags two updates of component 1
+   with the same epoch; only the nonce tells them apart.  The scanner
+   (pid 0) takes its first collect and the first read of its second,
+   then the updater (pid 1) sets component 0 and then component 1, then
+   the scanner reads component 1 again.  Accepting that on epochs alone
+   would return component 0 before its update beside component 1 after
+   its update: a cut that never existed. *)
+let test_resilient_stuck_epoch_nonce () =
+  let module S = Sim_resilient_range2 in
+  M.set_fault_tracking true;
+  Fun.protect ~finally:(fun () -> M.set_fault_tracking false) @@ fun () ->
+  Sim.reset_prerun_oids ();
+  let t = S.create ~n:2 [| -1; -2 |] in
+  let primed = ref false and out = ref [||] in
+  let scanner () = out := S.scan (S.handle t ~pid:0) [| 0; 1 |] in
+  let updater () =
+    let h = S.handle t ~pid:1 in
+    S.update h 1 5;
+    primed := true;
+    S.update h 0 7;
+    S.update h 1 9
+  in
+  (* the updater's first update, six scanner steps (a pointer read and a
+     read per component), the rest of the updater, then the scanner *)
+  let picks = ref 0 in
+  let script =
+    {
+      Scheduler.name = "prime-collect-update-collect";
+      pick =
+        (fun v ->
+          if not !primed then Scheduler.Run 1
+          else begin
+            incr picks;
+            if !picks <= 6 || not (Scheduler.is_runnable v 1) then
+              Scheduler.Run 0
+            else Scheduler.Run 1
+          end);
+    }
+  in
+  ignore
+    (Sim.run
+       ~sched:
+         (Scheduler.mem_fault_on_cell ~kind:Event.Stuck_cell
+            ~name_prefix:"rshard1.epoch" script)
+       [| scanner; updater |]);
+  check_bool "the epoch repeated" true
+    (Psnap_sched.Metrics.(get Serving.stuck_epochs) > 0);
+  Alcotest.(check (array int)) "scan returns a state that existed" [| 7; 9 |]
+    !out
 
 (* ---- single-shard scans: a double collect, a sub-scan on interference ---- *)
 
@@ -713,6 +855,10 @@ let () =
             test_cross_shard_exhaustive;
           Alcotest.test_case "retry costs one collect" `Quick
             test_retry_accounting;
+          Alcotest.test_case "resilient: retry costs one collect" `Quick
+            test_resilient_accounting;
+          Alcotest.test_case "resilient: nonces tell stuck epochs apart"
+            `Quick test_resilient_stuck_epoch_nonce;
           Alcotest.test_case "single-shard scan, every interleaving" `Quick
             test_single_shard_exhaustive;
           Alcotest.test_case "single-shard scan, starved scanner" `Quick
