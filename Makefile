@@ -274,7 +274,11 @@ chaos-txn:
 # naive (fence-free) mode of a lost acked write and leave the fenced
 # mode clean on the identical schedule; the loadgen run permanently
 # kills a majority under load, must land every replacement and must
-# return to Atomic service.
+# return to Atomic service.  Its JSON must say so (recovered, no lost
+# write), and its replacements may need at most 2 transfer retries: the
+# manager parks for replies, so a retry means a phase heard no quorum
+# for its whole wall-time budget (0 retries in 20 of 20 runs when the
+# gate was set, EXPERIMENTS.md E21).
 chaos-reconfig:
 	dune build bin/simulate.exe bin/loadgen.exe
 	mkdir -p $(ARTIFACTS)
@@ -301,6 +305,14 @@ chaos-reconfig:
 	dune exec bin/loadgen.exe -- --reconfig-under-load --replicas 3 \
 	  --spares 2 --domains 2 --duration 1s \
 	  --json $(ARTIFACTS)/loadgen-reconfig.json
+	python3 -c "import json, sys; \
+	  r = json.load(open('$(ARTIFACTS)/loadgen-reconfig.json')); \
+	  sys.exit('reconfigure-under-load did not recover' \
+	      if r['recovered'] is not True \
+	    else 'reconfigure-under-load lost an acked write' \
+	      if r['lost_writes'] is not False \
+	    else 'replacements took %d transfer retries, over 2' \
+	      % r['transfer_retries'] if r['transfer_retries'] > 2 else 0)"
 
 # Every chaos campaign back to back, consolidated into one summary: each
 # campaign's JSON artifacts are embedded under their basename so a single

@@ -209,15 +209,6 @@ module Mc = struct
     Mutex.unlock t.locks.(dst);
     Metrics.(incr Net.sends)
 
-  let recv t ~self =
-    if self < 0 || self >= t.nodes then
-      invalid_arg "Net.Mc.recv: node out of range";
-    Mutex.lock t.locks.(self);
-    let m = Queue.take_opt t.inboxes.(self) in
-    Mutex.unlock t.locks.(self);
-    if m <> None then Metrics.(incr Net.delivers);
-    m
-
   (* Blocking receive: sleep on the inbox condition until a message or
      [should_stop ()]; None only when stopped with an empty inbox.  On an
      oversubscribed host (fewer cores than domains) this is the difference

@@ -61,9 +61,6 @@ module Mc : sig
   val send : 'm t -> dst:int -> 'm -> unit
   (** Enqueue and wake the destination's waiter. *)
 
-  val recv : 'm t -> self:int -> 'm option
-  (** Non-blocking poll. *)
-
   val recv_wait : 'm t -> self:int -> should_stop:(unit -> bool) -> 'm option
   (** Block on the inbox condition until a message arrives or
       [should_stop ()] holds; [None] only when stopped with an empty

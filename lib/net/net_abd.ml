@@ -1046,9 +1046,11 @@ let mc_ctx c =
   }
 
 (* The manager's endpoint under the loadgen: driven from the control
-   thread.  Non-blocking receive — during a reconfiguration a quorum of
-   the old members may be dead, and the bounded polling of [run_phase]
-   must keep running to give up cleanly. *)
+   thread.  It parks like the clients do, at most one condition-wait per
+   poll, so a phase's poll budget is spent in wall time: a reply wakes it
+   at once, and while a quorum of the old members is dead the caller's
+   periodic waker ([mc_wake]) lets [run_phase] burn its budget and give
+   up cleanly.  Without a waker, a phase facing a dead quorum blocks. *)
 let mc_manager_ctx c =
   let self = mc_manager_node c in
   let reqid = ref 0 in
@@ -1057,7 +1059,10 @@ let mc_manager_ctx c =
       {
         self;
         send = (fun ~dst m -> Net.Mc.send c.mnet ~dst m);
-        recv = (fun () -> Net.Mc.recv c.mnet ~self);
+        recv =
+          (fun () ->
+            Net.Mc.recv_wait1 c.mnet ~self ~should_stop:(fun () ->
+                Atomic.get c.stop));
         relax = Domain.cpu_relax;
       };
     cc = c.mcc;

@@ -224,9 +224,12 @@ val mc_manager_node : mc_cluster -> int
 val mc_pool_nodes : mc_cluster -> int list
 
 (** The manager's protocol endpoint under the loadgen, for the control
-    thread driving {!collect_state}/{!install_state}.  Non-blocking
-    receive: bounded polling must keep running when a quorum of the old
-    members is dead, so the round can give up cleanly. *)
+    thread driving {!collect_state}/{!install_state}.  Each receive
+    parks at most once, like a client's: a reply wakes it, and so does
+    {!mc_wake}.  The caller must run a periodic waker (the loadgen ticks
+    every millisecond): it bounds a round facing a dead quorum in wall
+    time, so the round can give up cleanly; without one, that round
+    blocks. *)
 val mc_manager_ctx : mc_cluster -> ctx
 
 val mc_replica_body : mc_cluster -> index:int -> unit -> unit

@@ -15,6 +15,11 @@
      acquire (CAS Free{lsn} -> Held{pid; lsn; i; v})
        -> append Update{lsn} -> sync -> Inner.update i v -> release
 
+   The append marshals the value into a scratch buffer that [t] owns and
+   only the lock's holder uses, and frames it there
+   ([Wal.Make.append_update]): no record and no payload string, so a
+   commit allocates only its frame and the lock's two states.
+
    Log order = apply order by construction, and — because nothing reaches
    [Inner] before it is durable — a scan can only ever observe durable
    values, so no completed operation's evidence is ever lost
@@ -81,6 +86,8 @@ struct
     lock : 'a lock_state M.ref_;
     cfg : config;
     committed : 'a array;  (* guarded by the commit lock; see above *)
+    scratch : Wal.scratch;  (* guarded by the commit lock: commits
+                               marshal their value into it *)
     mutable commits_since_ckpt : int;  (* guarded by the commit lock *)
     mutable gen : int;  (* guarded by the commit lock *)
   }
@@ -101,6 +108,7 @@ struct
       lock = make_lock 1;
       cfg = config;
       committed = Array.copy init;
+      scratch = Wal.scratch ();
       commits_since_ckpt = 0;
       gen = 0;
     }
@@ -121,6 +129,7 @@ struct
       lock = make_lock st.Recovery.next_lsn;
       cfg = config;
       committed = Array.copy st.Recovery.values;
+      scratch = Wal.scratch ();
       commits_since_ckpt = 0;
       gen = st.Recovery.checkpoint_gen;
     }
@@ -141,11 +150,12 @@ struct
      The retry can duplicate an lsn that did survive, and so can a resumed
      commit whose dead incarnation had already appended it — harmless,
      recovery applies each lsn once. *)
-  let rec append_durably t record =
+  let rec append_durably h ~lsn ~index value =
+    let t = h.t in
     let l0 = St.losses t.dev in
-    W.append t.dev record;
+    W.append_update t.dev t.scratch ~lsn ~pid:h.pid ~index value;
     St.sync t.dev;
-    if St.losses t.dev <> l0 then append_durably t record
+    if St.losses t.dev <> l0 then append_durably h ~lsn ~index value
 
   (* Must hold the lock (Held or Sealing), under which [committed] is
      exactly the state of every lsn below [next_lsn]: seal it, no scan. *)
@@ -164,11 +174,8 @@ struct
      inherited from a crashed incarnation of this pid. *)
   let complete h ~lsn ~index ~value =
     let t = h.t in
-    let record =
-      Wal.Update { lsn; pid = h.pid; index; payload = Marshal.to_string value [] }
-    in
     if t.cfg.write_ahead then begin
-      append_durably t record;
+      append_durably h ~lsn ~index value;
       (* Re-applying an inherited intent may write a value [Inner] already
          holds — same value, observationally idempotent. *)
       Inner.update h.h index value
@@ -178,7 +185,7 @@ struct
          power loss between the apply and the sync is a
          committed-then-lost bug the oracle flags. *)
       Inner.update h.h index value;
-      W.append t.dev record;
+      W.append_update t.dev t.scratch ~lsn ~pid:h.pid ~index value;
       St.sync t.dev
     end;
     t.committed.(index) <- value;

@@ -8,9 +8,13 @@
      'U' lsn pid index payload     'B' gen next_lsn
      'S' gen payload               'E' gen
 
-   [encode] builds the frame in one buffer and marshals nothing; the
-   payloads are marshalled by the caller (a component value, a sealed
-   view).  [fold] checks frames in place, without [Marshal] and without
+   One writer, [put_frame], finishes every frame around a payload that
+   is already in place.  [encode] copies a record's payload, which its
+   caller marshalled, into a fresh frame.  A commit's path,
+   [Make.append_update], builds no record and no payload string: it
+   marshals the value straight into a scratch buffer, frames it there
+   and copies the frame out once.  The bytes are the same either way.
+   [fold] checks frames in place, without [Marshal] and without
    allocating per frame: it hands each good frame to its step as the
    offset of its body, and [Frame] reads the fields there; only
    [decode_all] and [read_all] build records.  It stops at the first
@@ -48,10 +52,13 @@ type decoded = {
 
 (* Little-endian words.  The stdlib's [String.get_int32_le] and friends
    are out-of-line calls that box their result; the primitives below
-   stay unboxed when inlined into integer code. *)
-external get32_ne : string -> int -> int32 = "%caml_string_get32"
-
+   stay unboxed when inlined into integer code.  The [u] loads check no
+   bounds: [checksum_sub] checks its whole range once instead. *)
 external get64_ne : string -> int -> int64 = "%caml_string_get64"
+
+external get32u_ne : string -> int -> int32 = "%caml_string_get32u"
+
+external get64u_ne : string -> int -> int64 = "%caml_string_get64u"
 
 external set64_ne : bytes -> int -> int64 -> unit = "%caml_bytes_set64"
 
@@ -59,11 +66,14 @@ external swap32 : int32 -> int32 = "%bswap_int32"
 
 external swap64 : int64 -> int64 = "%bswap_int64"
 
-let[@inline] get32_le s i =
-  if Sys.big_endian then swap32 (get32_ne s i) else get32_ne s i
+let[@inline] get32u_le s i =
+  if Sys.big_endian then swap32 (get32u_ne s i) else get32u_ne s i
 
 let[@inline] get64_le s i =
   if Sys.big_endian then swap64 (get64_ne s i) else get64_ne s i
+
+let[@inline] get64u_le s i =
+  if Sys.big_endian then swap64 (get64u_ne s i) else get64u_ne s i
 
 let[@inline] set64_le b i v =
   if Sys.big_endian then set64_ne b i (swap64 v) else set64_ne b i v
@@ -81,25 +91,43 @@ let rotl32 x r = ((x lsl r) lor (x lsr (32 - r))) land mask32
    end. *)
 let scramble w = rotl32 (w * 0xcc9e2d51 land mask32) 15 * 0x1b873593 land mask32
 
-let mix h w = (rotl32 (h lxor scramble w) 13 * 5 + 0xe6546b64) land mask32
+(* [mix h w] with [scramble] inlined, for the block loop.  It masks only
+   where a rotate needs the top bits clear: the low 32 bits of a sum or
+   a product depend only on the low 32 bits of its operands. *)
+let[@inline] mix h w =
+  let k = w * 0xcc9e2d51 in
+  let k = ((k lsl 15) lor ((k land mask32) lsr 17)) * 0x1b873593 in
+  let h = (h lxor k) land mask32 in
+  (((h lsl 13) lor (h lsr 19)) * 5 + 0xe6546b64) land mask32
 
 let fmix h =
   let h = h lxor (h lsr 16) * 0x85ebca6b land mask32 in
   let h = h lxor (h lsr 13) * 0xc2b2ae35 land mask32 in
   h lxor (h lsr 16)
 
-(* Over [s.[off] .. s.[off + len - 1]], 4-byte little-endian words. *)
+(* Over [s.[off] .. s.[off + len - 1]], 4-byte little-endian words,
+   loaded two at a time: an 8-byte load is the word at [i] in its low
+   half and the word at [i + 4] in its high half. *)
 let checksum_sub s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Wal.checksum_sub";
   let h = ref 0 and i = ref off in
-  let words_end = off + (len land lnot 3) in
-  while !i < words_end do
-    h := mix !h (Int32.to_int (get32_le s !i) land mask32);
-    i := !i + 4
+  let pairs_end = off + (len land lnot 7) in
+  while !i < pairs_end do
+    let x = get64u_le s !i in
+    let lo = Int64.to_int x land mask32 in
+    let hi = Int64.to_int (Int64.shift_right_logical x 32) in
+    h := mix (mix !h lo) hi;
+    i := !i + 8
   done;
-  if words_end < off + len then begin
+  if len land 4 <> 0 then begin
+    h := mix !h (Int32.to_int (get32u_le s !i) land mask32);
+    i := !i + 4
+  end;
+  if !i < off + len then begin
     let w = ref 0 in
-    for j = off + len - 1 downto words_end do
-      w := (!w lsl 8) lor Char.code s.[j]
+    for j = off + len - 1 downto !i do
+      w := (!w lsl 8) lor Char.code (String.unsafe_get s j)
     done;
     h := !h lxor scramble !w
   end;
@@ -113,55 +141,84 @@ let hex_digits = "0123456789abcdef"
 
 (* [v] as 8 lowercase hex digits at [b.[off]]: the [%08x] of the header. *)
 let put_hex8 b off v =
+  if off < 0 || off > Bytes.length b - 8 then invalid_arg "Wal.put_hex8";
   for i = 0 to 7 do
-    Bytes.set b (off + i) hex_digits.[(v lsr (28 - (4 * i))) land 0xf]
+    Bytes.unsafe_set b (off + i)
+      (String.unsafe_get hex_digits ((v lsr (28 - (4 * i))) land 0xf))
   done
 
 let put_word b off v = set64_le b off (Int64.of_int v)
 
 let word s off = Int64.to_int (get64_le s off)
 
-(* The body's length without the payload: the kind byte and the words. *)
-let fixed_len = function
-  | Update _ -> 25
-  | Scan_seal _ | Checkpoint_end _ -> 9
-  | Checkpoint_begin _ -> 17
+(* The body's length without the payload, by kind byte: the kind byte
+   and the kind's words. *)
+let fixed_len = function 'U' -> 25 | 'B' -> 17 | _ -> 9
 
-(* One allocation for the frame: body written after the header, then the
-   header over it. *)
-let encode r =
-  let payload =
-    match r with
-    | Update { payload; _ } | Scan_seal { payload; _ } -> payload
-    | Checkpoint_begin _ | Checkpoint_end _ -> ""
-  in
-  let fixed = fixed_len r in
-  let len = fixed + String.length payload in
+(* The body's length, refused past what the header's 8 hex digits can
+   say. *)
+let body_len kind plen =
+  let len = fixed_len kind + plen in
   if len > mask32 then invalid_arg "Wal.encode: record too large";
-  let b = Bytes.create (header_len + len) in
+  len
+
+(* The one frame writer, for [encode] and for [Make.append_update]
+   alike.  [b] already holds the body's payload, [len - fixed_len kind]
+   bytes at [header_len + fixed_len kind]; this writes the kind byte and
+   the kind's words in front of it ([w2] and [w3] only where the kind has
+   them), then the header over the whole body. *)
+let put_frame b kind w1 w2 w3 len =
   let at = header_len in
-  (match r with
-  | Update { lsn; pid; index; _ } ->
-    Bytes.set b at 'U';
-    put_word b (at + 1) lsn;
-    put_word b (at + 9) pid;
-    put_word b (at + 17) index
-  | Scan_seal { gen; _ } ->
-    Bytes.set b at 'S';
-    put_word b (at + 1) gen
-  | Checkpoint_begin { gen; next_lsn } ->
-    Bytes.set b at 'B';
-    put_word b (at + 1) gen;
-    put_word b (at + 9) next_lsn
-  | Checkpoint_end { gen } ->
-    Bytes.set b at 'E';
-    put_word b (at + 1) gen);
-  Bytes.blit_string payload 0 b (at + fixed) (String.length payload);
+  let fixed = fixed_len kind in
+  Bytes.set b at kind;
+  put_word b (at + 1) w1;
+  if fixed > 9 then put_word b (at + 9) w2;
+  if fixed > 17 then put_word b (at + 17) w3;
   put_hex8 b 0 len;
   Bytes.set b 8 ' ';
   put_hex8 b 9 (checksum_sub (Bytes.unsafe_to_string b) at len);
-  Bytes.set b 17 ' ';
+  Bytes.set b 17 ' '
+
+(* One allocation for the frame: the payload copied in, then the rest
+   written around it. *)
+let frame kind w1 w2 w3 payload =
+  let plen = String.length payload in
+  let len = body_len kind plen in
+  let b = Bytes.create (header_len + len) in
+  Bytes.blit_string payload 0 b (header_len + len - plen) plen;
+  put_frame b kind w1 w2 w3 len;
   Bytes.unsafe_to_string b
+
+let encode = function
+  | Update { lsn; pid; index; payload } -> frame 'U' lsn pid index payload
+  | Scan_seal { gen; payload } -> frame 'S' gen 0 0 payload
+  | Checkpoint_begin { gen; next_lsn } -> frame 'B' gen next_lsn 0 ""
+  | Checkpoint_end { gen } -> frame 'E' gen 0 0 ""
+
+(* A commit's frame, built without a record or a payload string: the
+   value is marshalled straight into the scratch, after the room for the
+   header and the fixed fields, and the frame is written around it there
+   and copied out once.  [Marshal.to_buffer] fails on a buffer too small
+   for the value; the scratch then doubles and the value is marshalled
+   again. *)
+type scratch = { mutable buf : Bytes.t }
+
+let scratch () = { buf = Bytes.create 256 }
+
+let update_payload_at = header_len + fixed_len 'U'
+
+let rec marshal_payload sc v =
+  let room = Bytes.length sc.buf - update_payload_at in
+  match Marshal.to_buffer sc.buf update_payload_at room v [] with
+  | plen -> plen
+  | exception Failure _ ->
+    sc.buf <- Bytes.create (2 * Bytes.length sc.buf);
+    marshal_payload sc v
+
+let update_frame sc ~lsn ~pid ~index v =
+  let len = body_len 'U' (marshal_payload sc v) in
+  put_frame sc.buf 'U' lsn pid index len;
+  Bytes.sub_string sc.buf 0 (header_len + len)
 
 (* Each byte's value as a hex digit, and 16 for a byte that is not one
    of [0-9a-f]. *)
@@ -287,6 +344,9 @@ module Metrics = Psnap_sched.Metrics
 
 module Make (St : Storage.S) = struct
   let append dev r = St.append dev (encode r)
+
+  let append_update dev sc ~lsn ~pid ~index v =
+    St.append dev (update_frame sc ~lsn ~pid ~index v)
 
   (* Fold over the device's (volatile) contents in place, and finish
      while the bytes are still lent; then, with [repair], truncate any

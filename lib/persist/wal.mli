@@ -6,7 +6,10 @@
     8-byte little-endian words ([Update]: lsn, pid, index; [Scan_seal]:
     gen; [Checkpoint_begin]: gen, next_lsn; [Checkpoint_end]: gen), and
     for [Update] and [Scan_seal] the payload bytes, running to the end of
-    the body.  Neither encoding nor decoding marshals anything.
+    the body.  {!encode} and {!Make.append_update} share one frame
+    writer and give the same bytes; the latter marshals a commit's
+    value straight into a {!scratch} buffer.  Decoding marshals
+    nothing.
 
     Reading ({!fold}) stops at the first damaged frame, distinguishing a
     {e torn} tail (incomplete header or body — what a power loss leaves)
@@ -49,9 +52,22 @@ val checksum : string -> int
     state, and for a fixed state an injection of the word, so any change
     confined to one word is always detected. *)
 
+val checksum_sub : string -> int -> int -> int
+(** [checksum_sub s off len] is [checksum (String.sub s off len)],
+    without the copy.
+    @raise Invalid_argument if [off] and [len] are not a valid range of
+    [s]. *)
+
 val header_len : int
 
 val encode : record -> string
+
+type scratch
+(** A growable buffer that a commit marshals its value into
+    ({!Make.append_update}).  Not thread-safe: one committer at a time,
+    such as the holder of a commit lock. *)
+
+val scratch : unit -> scratch
 
 type 'acc folded = {
   acc : 'acc;  (** the fold over the valid prefix *)
@@ -100,6 +116,14 @@ val pp_record : Format.formatter -> record -> unit
 (** Log I/O over a storage device. *)
 module Make (St : Storage.S) : sig
   val append : St.t -> record -> unit
+
+  val append_update :
+    St.t -> scratch -> lsn:int -> pid:int -> index:int -> 'a -> unit
+  (** [append_update dev sc ~lsn ~pid ~index v] appends the frame of
+      [Update {lsn; pid; index; payload = Marshal.to_string v []}], byte
+      for byte, but builds neither the record nor the payload string:
+      [v] is marshalled into [sc], the frame is written around it by the
+      writer {!encode} uses, and one copy of it goes to [St.append]. *)
 
   val fold :
     ?repair:bool ->

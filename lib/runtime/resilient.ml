@@ -21,14 +21,14 @@
 
    Values are stored as [((epoch, nonce), v)].  Epochs come from a
    per-shard, per-generation fetch&increment cell and give scans their
-   ABA-free validation (as in Sharded); the nonce is drawn from a plain
-   OCaml counter and makes tags unique even when the epoch cell is stuck
-   (a stuck fetch&add returns the same epoch twice — the nonce keeps the
-   two updates distinguishable, so validation never silently accepts a
-   changed component, and the non-monotone draw is itself the detector
-   that triggers healing).  A heal copies every tag with its value, so
-   two collects that agree across a generation swap still saw an
-   unchanged component. *)
+   ABA-free validation (as in Sharded); the nonce is drawn from a
+   step-free fetch&add counter and makes tags unique even when the epoch
+   cell is stuck (a stuck fetch&add returns the same epoch twice — the
+   nonce keeps the two updates distinguishable, so validation never
+   silently accepts a changed component, and the non-monotone draw is
+   itself the detector that triggers healing).  A heal copies every tag
+   with its value, so two collects that agree across a generation swap
+   still saw an unchanged component. *)
 
 module Metrics = Psnap_sched.Metrics
 
@@ -62,17 +62,13 @@ struct
     Printf.sprintf "resilient-%dx%s%s" C.shards S.name
       (match C.partition with `Round_robin -> "" | `Range -> "/range")
 
-  (* Nonce source: a plain (step-free) OCaml counter, exactly like the
-     hardened registers' tag nonces — supervisor bookkeeping, not shared
-     algorithm state.  Under the cooperative simulator increments are
-     atomic between scheduling points; under real domains they are
-     unsynchronized, and a duplicated nonce merely weakens one validation
-     comparison to epoch-only (Sharded's guarantee). *)
-  let nonce_counter = ref 0
+  (* Nonce source: a stdlib fetch&add counter, shared by every domain, so
+     no two updates ever draw the same nonce.  It is supervisor
+     bookkeeping, not shared algorithm state: it costs no simulator step,
+     like the hardened registers' tag nonces. *)
+  let nonce_counter = Atomic.make 0
 
-  let next_nonce () =
-    incr nonce_counter;
-    !nonce_counter
+  let next_nonce () = Atomic.fetch_and_add nonce_counter 1 + 1
 
   type tag = int * int  (** (epoch, nonce) *)
 

@@ -134,6 +134,11 @@ module Make
 
   val name : string
 
+  val next_nonce : unit -> int
+  (** The next tag nonce.  One fetch&add counter per application of
+      [Make], shared by every domain: no two calls return the same
+      nonce.  It takes no simulator step. *)
+
   val create : n:int -> 'a array -> 'a t
 
   val handle : 'a t -> pid:int -> 'a handle

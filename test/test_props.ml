@@ -3,8 +3,9 @@
    scheduler family and seed); each case runs a full simulated execution
    and checks the recorded history.  One property per implementation for
    snapshots (observation checker) and one per active set implementation
-   (interval-semantics checker); plus one over WAL frames and one over
-   recovery from a device. *)
+   (interval-semantics checker); plus, for the WAL, properties of its
+   frames, of a commit's frame built from the value, of the checksum, and
+   of recovery from a device. *)
 
 open Psnap
 
@@ -251,6 +252,147 @@ let wal_prop =
       && whole.Wal.good_bytes = String.length log
       && List.for_all prefix_ok (List.init (String.length log) Fun.id))
 
+(* A commit's frame, built from the value: for random fields and random
+   values of several types, [append_update] appends exactly the bytes of
+   [encode] over the record with the marshalled payload.  One scratch
+   serves every case, so it grows on the large values (its first size is
+   256 bytes) and is reused, stale bytes and all, by the later small
+   ones. *)
+type commit_value =
+  | Int of int
+  | Str of string
+  | Floats of float array
+  | Nested of (int * (string * float array) * int list)
+  | Big of int array
+
+let commit_value_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun v -> Int v) int;
+        map (fun v -> Str v) string_small;
+        map (fun v -> Floats v) (array_size (int_range 0 20) float);
+        map
+          (fun v -> Nested v)
+          (triple int
+             (pair string_small (array_size (int_range 0 4) float))
+             (list_size (int_range 0 6) int));
+        map (fun v -> Big v) (array_size (int_range 40 3_000) int);
+      ])
+
+let print_commit_value = function
+  | Int v -> string_of_int v
+  | Str v -> Printf.sprintf "%S" v
+  | Floats v -> Printf.sprintf "%d floats" (Array.length v)
+  | Nested (i, (s, f), l) ->
+    Printf.sprintf "(%d, (%S, %d floats), %d ints)" i s (Array.length f)
+      (List.length l)
+  | Big v -> Printf.sprintf "%d ints" (Array.length v)
+
+let update_frame_prop =
+  let module Wal = Persist.Wal in
+  let module Mc = Persist.Storage.Mc in
+  let module W = Wal.Make (Mc) in
+  let sc = Wal.scratch () in
+  QCheck2.Test.make ~name:"a commit's frame = encode of its record"
+    ~count:300
+    ~print:(fun commits ->
+      String.concat "; "
+        (List.map
+           (fun (lsn, pid, index, v) ->
+             Printf.sprintf "lsn=%d p%d i=%d %s" lsn pid index
+               (print_commit_value v))
+           commits))
+    QCheck2.Gen.(
+      list_size (int_range 1 3) (quad int int int commit_value_gen))
+    (fun commits ->
+      let dev = Mc.create ~name:"frames" in
+      let append (type a) ~lsn ~pid ~index (v : a) =
+        W.append_update dev sc ~lsn ~pid ~index v;
+        Wal.encode
+          (Wal.Update { lsn; pid; index; payload = Marshal.to_string v [] })
+      in
+      let want =
+        List.map
+          (fun (lsn, pid, index, v) ->
+            match v with
+            | Int v -> append ~lsn ~pid ~index v
+            | Str v -> append ~lsn ~pid ~index v
+            | Floats v -> append ~lsn ~pid ~index v
+            | Nested v -> append ~lsn ~pid ~index v
+            | Big v -> append ~lsn ~pid ~index v)
+          commits
+      in
+      Mc.with_contents dev (fun log n -> String.sub log 0 n)
+      = String.concat "" want)
+
+(* The checksum against MurmurHash3_x86_32 as it was first written here:
+   one 4-byte word per round, each read with a bounds check.  Every
+   slice of a random string is checked up to 40 bytes long from a random
+   offset, so every length mod 8 meets every alignment; and slices out of
+   range must raise. *)
+module Murmur_reference = struct
+  let mask32 = 0xFFFF_FFFF
+
+  let rotl32 x r = ((x lsl r) lor (x lsr (32 - r))) land mask32
+
+  let scramble w =
+    rotl32 (w * 0xcc9e2d51 land mask32) 15 * 0x1b873593 land mask32
+
+  let mix h w = (rotl32 (h lxor scramble w) 13 * 5 + 0xe6546b64) land mask32
+
+  let fmix h =
+    let h = h lxor (h lsr 16) * 0x85ebca6b land mask32 in
+    let h = h lxor (h lsr 13) * 0xc2b2ae35 land mask32 in
+    h lxor (h lsr 16)
+
+  let checksum_sub s off len =
+    let h = ref 0 and i = ref off in
+    let words_end = off + (len land lnot 3) in
+    while !i < words_end do
+      h := mix !h (Int32.to_int (String.get_int32_le s !i) land mask32);
+      i := !i + 4
+    done;
+    if words_end < off + len then begin
+      let w = ref 0 in
+      for j = off + len - 1 downto words_end do
+        w := (!w lsl 8) lor Char.code s.[j]
+      done;
+      h := !h lxor scramble !w
+    end;
+    fmix (!h lxor len)
+end
+
+let checksum_prop =
+  let module Wal = Persist.Wal in
+  QCheck2.Test.make ~name:"checksum_sub = reference MurmurHash3" ~count:500
+    ~print:(fun (s, off, (bad_off, bad_len)) ->
+      Printf.sprintf "%S from %d; out of range (%d, %d)" s off bad_off bad_len)
+    QCheck2.Gen.(
+      let* s = string_size (int_range 0 80) in
+      let n = String.length s in
+      let* off = int_range 0 n in
+      let* bad =
+        oneof
+          [
+            map (fun o -> (-o, 0)) (int_range 1 9);
+            map (fun l -> (0, -l)) (int_range 1 9);
+            map (fun o -> (n + o, 0)) (int_range 1 9);
+            map2 (fun o l -> (o, n - o + l)) (int_range 0 n) (int_range 1 9);
+          ]
+      in
+      return (s, off, bad))
+    (fun (s, off, (bad_off, bad_len)) ->
+      let fits = min 40 (String.length s - off) in
+      List.for_all
+        (fun len ->
+          Wal.checksum_sub s off len = Murmur_reference.checksum_sub s off len)
+        (List.init (fits + 1) Fun.id)
+      &&
+      match Wal.checksum_sub s bad_off bad_len with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+
 (* Recovery on a device: a random log, damaged or not, recovers on both
    devices to what an eager replay of its decoded records gives.  The
    eager replay is recovery as it was before unmarshalling was deferred:
@@ -494,6 +636,8 @@ let () =
       ( "wal",
         [
           QCheck_alcotest.to_alcotest wal_prop;
+          QCheck_alcotest.to_alcotest update_frame_prop;
+          QCheck_alcotest.to_alcotest checksum_prop;
           QCheck_alcotest.to_alcotest recovery_prop;
         ] );
     ]

@@ -375,6 +375,20 @@ let test_snap_loadgen_smoke () =
   check_bool "did updates" true (rep.Psnap.Runtime.Loadgen.updates > 0);
   check_bool "did scans" true (rep.Psnap.Runtime.Loadgen.scans > 0)
 
+(* Two domains draw nonces at once: every one of them is distinct, so a
+   tag never repeats even when two updates meet a stuck epoch. *)
+let test_nonces_distinct_across_domains () =
+  let draws = 100_000 in
+  let draw () = Array.init draws (fun _ -> RS_mc.next_nonce ()) in
+  let others = Domain.spawn draw in
+  let mine = draw () in
+  let all = Array.append mine (Domain.join others) in
+  Array.sort compare all;
+  for i = 1 to Array.length all - 1 do
+    if all.(i) = all.(i - 1) then
+      Alcotest.failf "nonce %d was drawn twice" all.(i)
+  done
+
 let () =
   Alcotest.run "resilient"
     [
@@ -410,5 +424,7 @@ let () =
         [
           Alcotest.test_case "Snap face smoke (2 domains)" `Quick
             test_snap_loadgen_smoke;
+          Alcotest.test_case "nonces distinct across 2 domains" `Quick
+            test_nonces_distinct_across_domains;
         ] );
     ]
