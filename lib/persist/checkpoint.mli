@@ -4,13 +4,20 @@
     power loss inside the write window leaves the previous checkpoint
     authoritative.  The caller must hold the commit lock: the lock freezes
     the lsn horizon, and the view sealed is the committed array the lock
-    guards (see [Durable]), not a scan of the inner object.  A checkpoint is
-    O(1) steps: three appends and one sync. *)
+    guards (see [Durable]), not a scan of the inner object.  Once the
+    triple is durable, the log before it is discarded, so the log always
+    starts at the last complete triple.  A checkpoint is O(1) steps:
+    three appends, one sync and one discard. *)
 
 module Make (St : Storage.S) : sig
-  val write : St.t -> gen:int -> next_lsn:int -> payload:string -> unit
-  (** Append the triple and sync; if a power loss ate part of the triple
-      from the write cache before the barrier covered it (detected via
-      {!Storage.S.losses}), rewrite the whole triple — duplicate complete
-      triples are harmless, recovery takes the last. *)
+  val write :
+    St.t -> Wal.scratch -> gen:int -> next_lsn:int -> 'a -> unit
+  (** [write dev sc ~gen ~next_lsn view] appends the triple sealing
+      [view], marshalled into [sc] ({!Wal.Make.append_seal}), and syncs;
+      if a power loss ate part of the triple from the write cache before
+      the barrier covered it (detected via {!Storage.S.losses}), it
+      rewrites the whole triple — duplicate complete triples are
+      harmless, recovery takes the last.  Then it discards every byte
+      before the triple that made it ({!Storage.S.discard_prefix}) and
+      counts them in [Metrics.Durable.discarded_bytes]. *)
 end

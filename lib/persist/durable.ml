@@ -26,8 +26,11 @@
    (write-ahead invariant).  The committer also writes the value into a
    [committed] array before releasing, so under the lock that array is
    exactly the state of every lsn below the next one: a checkpoint seals
-   it as is, with no scan of [Inner] (O(1) steps: the triple's three
-   appends and one sync).  Scans never touch the lock: they stay as
+   it as is, with no scan of [Inner], marshalled into the same scratch,
+   and then discards the log before its triple (O(1) steps: the triple's
+   three appends, one sync and one discard).  So the log holds the last
+   complete triple and the commits since, and a restart reads that, not
+   the whole history.  Scans never touch the lock: they stay as
    wait-free as [Inner]'s.  Updates are blocking, like a database log
    latch; a crashed lock holder blocks writers until its next incarnation
    completes the published intent ([resume], detectable-operation style).
@@ -87,7 +90,8 @@ struct
     cfg : config;
     committed : 'a array;  (* guarded by the commit lock; see above *)
     scratch : Wal.scratch;  (* guarded by the commit lock: commits
-                               marshal their value into it *)
+                               marshal their value into it, checkpoints
+                               their seal *)
     mutable commits_since_ckpt : int;  (* guarded by the commit lock *)
     mutable gen : int;  (* guarded by the commit lock *)
   }
@@ -98,13 +102,10 @@ struct
 
   let make_lock next_lsn = M.make ~name:"durable.lock" (Free next_lsn)
 
-  let create_with ?(config = default_config) ?storage ~n init =
-    let dev =
-      match storage with Some d -> d | None -> St.create ~name:"wal"
-    in
+  let create_with ?(config = default_config) ~n init =
     {
       inner = Inner.create ~n init;
-      dev;
+      dev = St.create ~name:"wal";
       lock = make_lock 1;
       cfg = config;
       committed = Array.copy init;
@@ -158,11 +159,11 @@ struct
     if St.losses t.dev <> l0 then append_durably h ~lsn ~index value
 
   (* Must hold the lock (Held or Sealing), under which [committed] is
-     exactly the state of every lsn below [next_lsn]: seal it, no scan. *)
+     exactly the state of every lsn below [next_lsn]: seal it, no scan,
+     marshalled into the scratch only the lock's holder uses. *)
   let do_checkpoint t ~next_lsn =
     t.gen <- t.gen + 1;
-    C.write t.dev ~gen:t.gen ~next_lsn
-      ~payload:(Marshal.to_string t.committed []);
+    C.write t.dev t.scratch ~gen:t.gen ~next_lsn t.committed;
     t.commits_since_ckpt <- 0
 
   let maybe_checkpoint t ~next_lsn =

@@ -40,10 +40,11 @@ module Make
   val default_config : config
   (** [{ checkpoint_every = 0; write_ahead = true }] *)
 
-  val create_with :
-    ?config:config -> ?storage:St.t -> n:int -> 'a array -> 'a t
-  (** [create] with an explicit configuration and/or device ([create]
-      itself uses [default_config] and a fresh device named ["wal"]). *)
+  val create_with : ?config:config -> n:int -> 'a array -> 'a t
+  (** [create] with an explicit configuration ([create] itself uses
+      [default_config]).  Either way the store logs to a fresh device
+      named ["wal"]; a store on a device that holds records is rebuilt
+      with {!recover}. *)
 
   val recover : ?config:config -> St.t -> n:int -> 'a array -> 'a t
   (** Rebuild from a device in one fold over its log: repair the damaged
@@ -62,7 +63,8 @@ module Make
   val checkpoint_now : 'a handle -> unit
   (** Force a sealed checkpoint, serialized through the commit lock.  It
       seals the committed values the lock guards (no scan of [Inner]),
-      so it costs the triple's three appends and one sync. *)
+      then discards the log before the triple, so it costs the triple's
+      three appends, one sync and one discard. *)
 
   val storage : 'a t -> St.t
 

@@ -19,12 +19,15 @@ module type S = sig
 
   val truncate : t -> int -> unit
 
+  val discard_prefix : t -> int -> unit
+
   val losses : t -> int
 end
 
 (* The bytes a device owns: a growable buffer and the length of the log
    in it.  Unlike [Buffer.t], it hands its bytes to a reader without a
-   copy, and truncation only moves the length. *)
+   copy, truncation only moves the length, and discarding a prefix moves
+   the suffix to the front of the same buffer. *)
 module Log = struct
   type t = { mutable bytes : Bytes.t; mutable len : int }
 
@@ -47,6 +50,11 @@ module Log = struct
   let truncate l n =
     l.len <- max 0 (min n l.len);
     l.len
+
+  (* [Bytes.blit] copies overlapping ranges correctly. *)
+  let discard l n =
+    Bytes.blit l.bytes n l.bytes 0 (l.len - n);
+    l.len <- l.len - n
 end
 
 module Metrics = Psnap_sched.Metrics
@@ -123,6 +131,16 @@ module Sim = struct
 
   let truncate t n = t.synced <- Log.truncate t.log n
 
+  (* One step, like an append: the adversary can cut power before it, and
+     then the log keeps its prefix.  Only synced bytes may go, so the
+     unsynced tail, and with it what a power loss may tear, is the same
+     before and after. *)
+  let discard_prefix t n =
+    step t Psnap_sched.Event.Write;
+    if n < 0 || n > t.synced then invalid_arg "Storage.Sim.discard_prefix";
+    Log.discard t.log n;
+    t.synced <- t.synced - n
+
   let losses t = t.losses
 
   (* The power-loss dispatcher: every registered device keeps its durable
@@ -184,6 +202,11 @@ module Mc = struct
   let with_contents t f = locked t (fun () -> Log.contents t.log f)
 
   let truncate t n = locked t (fun () -> ignore (Log.truncate t.log n))
+
+  let discard_prefix t n =
+    locked t (fun () ->
+        if n < 0 || n > t.log.len then invalid_arg "Storage.Mc.discard_prefix";
+        Log.discard t.log n)
 
   let losses _ = 0
 end

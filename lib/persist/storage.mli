@@ -14,9 +14,10 @@
     the log is the durability overhead being measured.
 
     Both keep the log in one growable buffer they own: appends are
-    amortized O(1), {!S.truncate} moves only the length, and
-    {!S.with_contents} lends the bytes to a reader (recovery) in
-    place. *)
+    amortized O(1), {!S.truncate} moves only the length,
+    {!S.discard_prefix} moves the surviving suffix to the front of the
+    same buffer, and {!S.with_contents} lends the bytes to a reader
+    (recovery) in place. *)
 
 module type S = sig
   type t
@@ -51,7 +52,21 @@ module type S = sig
       O(1), and marks the surviving prefix durable.  Recovery-time
       repair only: it models the failure-atomic tail repair a recovery
       pass performs while the system is down, so it costs no step (see
-      docs/MODEL.md §13 on the atomic-recovery modeling choice). *)
+      docs/MODEL.md §13 on the atomic-recovery modeling choice).  Only
+      recovery calls it; a running system shortens its log with
+      {!discard_prefix}. *)
+
+  val discard_prefix : t -> int -> unit
+  (** [discard_prefix t n] drops the log's first [n] bytes: offset [n]
+      becomes offset 0.  A checkpoint calls it, once its triple is
+      synced, to drop everything before the triple.  Only durable bytes
+      may go: {!Sim} refuses any [n] past the synced prefix, {!Mc} any
+      [n] past the log's end (it has no write cache), both with
+      [Invalid_argument].  The synced prefix shrinks by [n] too, so a
+      later power loss tears the same unsynced tail it would have torn
+      before.  On {!Sim} it is one scheduled step (a [Write] on the
+      device's pseudo-cell): a power loss or a crash at that step leaves
+      the whole log, which recovery reads the same way. *)
 
   val losses : t -> int
   (** Power losses this device has lived through — the signal a harness
@@ -59,12 +74,12 @@ module type S = sig
       and must be rebuilt by recovery. *)
 end
 
-(** The simulated device.  Each [append]/[sync] is one scheduled step on a
-    per-device pseudo-cell, so the adversary can interleave — or cut power
-    — between a record landing in the write cache and the barrier that
-    would have made it durable.  Reading and truncation cost nothing: they
-    model recovery-time work, which happens while the machine is down and
-    outside the adversary's schedule. *)
+(** The simulated device.  Each [append]/[sync]/[discard_prefix] is one
+    scheduled step on a per-device pseudo-cell, so the adversary can
+    interleave — or cut power — between a record landing in the write
+    cache and the barrier that would have made it durable.  Reading and
+    truncation cost nothing: they model recovery-time work, which happens
+    while the machine is down and outside the adversary's schedule. *)
 module Sim : sig
   include S
 

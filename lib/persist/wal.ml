@@ -11,9 +11,10 @@
    One writer, [put_frame], finishes every frame around a payload that
    is already in place.  [encode] copies a record's payload, which its
    caller marshalled, into a fresh frame.  A commit's path,
-   [Make.append_update], builds no record and no payload string: it
-   marshals the value straight into a scratch buffer, frames it there
-   and copies the frame out once.  The bytes are the same either way.
+   [Make.append_update], and a checkpoint's seal, [Make.append_seal],
+   build no record and no payload string: they marshal the value
+   straight into a scratch buffer, frame it there and copy the frame out
+   once.  The bytes are the same either way.
    [fold] checks frames in place, without [Marshal] and without
    allocating per frame: it hands each good frame to its step as the
    offset of its body, and [Frame] reads the fields there; only
@@ -162,10 +163,11 @@ let body_len kind plen =
   if len > mask32 then invalid_arg "Wal.encode: record too large";
   len
 
-(* The one frame writer, for [encode] and for [Make.append_update]
-   alike.  [b] already holds the body's payload, [len - fixed_len kind]
-   bytes at [header_len + fixed_len kind]; this writes the kind byte and
-   the kind's words in front of it ([w2] and [w3] only where the kind has
+(* The one frame writer, for [encode] and for the value frames of
+   [Make.append_update] and [Make.append_seal] alike.  [b] already holds
+   the body's payload, [len - fixed_len kind] bytes at
+   [header_len + fixed_len kind]; this writes the kind byte and the
+   kind's words in front of it ([w2] and [w3] only where the kind has
    them), then the header over the whole body. *)
 let put_frame b kind w1 w2 w3 len =
   let at = header_len in
@@ -195,29 +197,28 @@ let encode = function
   | Checkpoint_begin { gen; next_lsn } -> frame 'B' gen next_lsn 0 ""
   | Checkpoint_end { gen } -> frame 'E' gen 0 0 ""
 
-(* A commit's frame, built without a record or a payload string: the
-   value is marshalled straight into the scratch, after the room for the
-   header and the fixed fields, and the frame is written around it there
-   and copied out once.  [Marshal.to_buffer] fails on a buffer too small
-   for the value; the scratch then doubles and the value is marshalled
-   again. *)
+(* A commit's or a checkpoint's frame, built without a record or a
+   payload string: the value is marshalled straight into the scratch,
+   after the room for the header and the kind's fixed fields, and the
+   frame is written around it there and copied out once.
+   [Marshal.to_buffer] fails on a buffer too small for the value; the
+   scratch then doubles and the value is marshalled again. *)
 type scratch = { mutable buf : Bytes.t }
 
 let scratch () = { buf = Bytes.create 256 }
 
-let update_payload_at = header_len + fixed_len 'U'
-
-let rec marshal_payload sc v =
-  let room = Bytes.length sc.buf - update_payload_at in
-  match Marshal.to_buffer sc.buf update_payload_at room v [] with
+let rec marshal_payload sc at v =
+  let room = Bytes.length sc.buf - at in
+  match Marshal.to_buffer sc.buf at room v [] with
   | plen -> plen
   | exception Failure _ ->
     sc.buf <- Bytes.create (2 * Bytes.length sc.buf);
-    marshal_payload sc v
+    marshal_payload sc at v
 
-let update_frame sc ~lsn ~pid ~index v =
-  let len = body_len 'U' (marshal_payload sc v) in
-  put_frame sc.buf 'U' lsn pid index len;
+let value_frame sc kind w1 w2 w3 v =
+  let plen = marshal_payload sc (header_len + fixed_len kind) v in
+  let len = body_len kind plen in
+  put_frame sc.buf kind w1 w2 w3 len;
   Bytes.sub_string sc.buf 0 (header_len + len)
 
 (* Each byte's value as a hex digit, and 16 for a byte that is not one
@@ -346,7 +347,9 @@ module Make (St : Storage.S) = struct
   let append dev r = St.append dev (encode r)
 
   let append_update dev sc ~lsn ~pid ~index v =
-    St.append dev (update_frame sc ~lsn ~pid ~index v)
+    St.append dev (value_frame sc 'U' lsn pid index v)
+
+  let append_seal dev sc ~gen v = St.append dev (value_frame sc 'S' gen 0 0 v)
 
   (* Fold over the device's (volatile) contents in place, and finish
      while the bytes are still lent; then, with [repair], truncate any

@@ -6,10 +6,10 @@
     8-byte little-endian words ([Update]: lsn, pid, index; [Scan_seal]:
     gen; [Checkpoint_begin]: gen, next_lsn; [Checkpoint_end]: gen), and
     for [Update] and [Scan_seal] the payload bytes, running to the end of
-    the body.  {!encode} and {!Make.append_update} share one frame
-    writer and give the same bytes; the latter marshals a commit's
-    value straight into a {!scratch} buffer.  Decoding marshals
-    nothing.
+    the body.  {!encode}, {!Make.append_update} and {!Make.append_seal}
+    share one frame writer and give the same bytes; the latter two
+    marshal a commit's value or a checkpoint's view straight into a
+    {!scratch} buffer.  Decoding marshals nothing.
 
     Reading ({!fold}) stops at the first damaged frame, distinguishing a
     {e torn} tail (incomplete header or body — what a power loss leaves)
@@ -64,8 +64,9 @@ val encode : record -> string
 
 type scratch
 (** A growable buffer that a commit marshals its value into
-    ({!Make.append_update}).  Not thread-safe: one committer at a time,
-    such as the holder of a commit lock. *)
+    ({!Make.append_update}), and a checkpoint its view
+    ({!Make.append_seal}).  Not thread-safe: one writer at a time, such
+    as the holder of a commit lock. *)
 
 val scratch : unit -> scratch
 
@@ -124,6 +125,10 @@ module Make (St : Storage.S) : sig
       for byte, but builds neither the record nor the payload string:
       [v] is marshalled into [sc], the frame is written around it by the
       writer {!encode} uses, and one copy of it goes to [St.append]. *)
+
+  val append_seal : St.t -> scratch -> gen:int -> 'a -> unit
+  (** [append_seal dev sc ~gen v] appends the frame of
+      [Scan_seal {gen; payload = Marshal.to_string v []}] the same way. *)
 
   val fold :
     ?repair:bool ->

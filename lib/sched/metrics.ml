@@ -173,6 +173,7 @@ module Durable = struct
   let recoveries = c "recoveries" "recovery passes executed"
   let replayed_updates = c "replayed_updates" "records re-applied on recovery"
   let truncated_bytes = c "truncated_bytes" "log-tail bytes discarded"
+  let discarded_bytes = c "discarded_bytes" "log-prefix bytes checkpoints dropped"
   let torn_records = c "torn_records" "recoveries that cut a torn record"
   let corrupt_records = c "corrupt_records" "recoveries that hit a bad CRC"
   let power_losses = c "power_losses" "power losses seen by storage devices"

@@ -150,6 +150,7 @@ module Durable : sig
   val recoveries : counter
   val replayed_updates : counter
   val truncated_bytes : counter
+  val discarded_bytes : counter
   val torn_records : counter
   val corrupt_records : counter
   val power_losses : counter

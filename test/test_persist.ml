@@ -3,11 +3,15 @@
    tail, checksum corruption mid-log, checksummed bodies of the wrong
    shape, every single-bit flip of a frame, checkpoint-begin without
    end, duplicate-lsn dedup, double-recovery idempotence), the
-   one-pass replay against the two-walk reference on random logs, what a
-   checkpoint seals, the checkpoint triple, what a recovery and a commit
-   allocate, the names simulated cells keep, and the durable snapshot
-   under simulated power losses — a mini exhaustive sweep (a blackout at
-   every schedule point must recover to a durably-linearizable state),
+   one-pass replay against the two-walk reference on random logs,
+   discarding a device's prefix (refused past the synced bytes, and a
+   later blackout tears the same tail), what a checkpoint seals, the
+   checkpoint triple, the log a checkpoint leaves (one triple and the
+   commits since), what a recovery and a commit allocate, the names
+   simulated cells keep, and the durable snapshot under simulated power
+   losses — a mini exhaustive sweep, also with a checkpoint every two
+   commits (a blackout at every schedule point must recover to a
+   durably-linearizable state),
    plain crash–restart intent resumption, checkpointed recovery, and the
    committed E18 witness schedule, which must drive the deliberately
    unsound late-log mode to a committed-then-lost violation while
@@ -278,7 +282,7 @@ let test_checkpoint_roundtrip () =
   let dev = St.create ~name:"t" in
   WIO.append dev (upd ~lsn:1 ~index:0 10);
   St.sync dev;
-  C.write dev ~gen:1 ~next_lsn:2 ~payload:(Marshal.to_string [| 10; -2 |] []);
+  C.write dev (Wal.scratch ()) ~gen:1 ~next_lsn:2 [| 10; -2 |];
   WIO.append dev (upd ~lsn:2 ~index:1 20);
   St.sync dev;
   let st, damage = R.load dev ~init:[| -1; -2 |] in
@@ -436,7 +440,6 @@ let test_bit_flips () =
 
 module StMc = Persist.Storage.Mc
 module RMc = Persist.Recovery.Make (Persist.Storage.Mc)
-module CMc = Persist.Checkpoint.Make (Persist.Storage.Mc)
 
 let test_load_allocates_little () =
   let m = 1024 and updates = 100_000 and suffix = 100 in
@@ -447,9 +450,16 @@ let test_load_allocates_little () =
   for lsn = 1 to updates do
     append lsn
   done;
+  (* The triple is appended by hand: a checkpoint would discard the
+     updates before it, and this log must be large. *)
   let sealed = Array.init m (fun i -> -i) in
-  CMc.write dev ~gen:1 ~next_lsn:(updates + 1)
-    ~payload:(Marshal.to_string sealed []);
+  List.iter
+    (fun r -> StMc.append dev (Wal.encode r))
+    [
+      Wal.Checkpoint_begin { gen = 1; next_lsn = updates + 1 };
+      Wal.Scan_seal { gen = 1; payload = Marshal.to_string sealed [] };
+      Wal.Checkpoint_end { gen = 1 };
+    ];
   for lsn = updates + 1 to updates + suffix do
     append lsn
   done;
@@ -607,6 +617,138 @@ let test_checkpoint_seals_committed () =
   check_int "generation 1" 1 st.Recovery.checkpoint_gen;
   check_int "lsns restart past the sealed ones" 41 st.Recovery.next_lsn
 
+(* ---- discarding a log's prefix ---- *)
+
+let contents (type d) (module Dev : Persist.Storage.S with type t = d)
+    (dev : d) =
+  Dev.with_contents dev (fun log n -> String.sub log 0 n)
+
+let refused f =
+  match f () with () -> false | exception Invalid_argument _ -> true
+
+let test_sim_discard_refuses_unsynced () =
+  St.reset ();
+  let dev = St.create ~name:"d" in
+  St.append dev "aaaa";
+  St.sync dev;
+  St.append dev "bbbbbbbb";
+  check_bool "past the synced prefix" true
+    (refused (fun () -> St.discard_prefix dev 5));
+  check_bool "negative" true (refused (fun () -> St.discard_prefix dev (-1)));
+  check_int "nothing dropped" 12 (St.size dev);
+  St.discard_prefix dev 4;
+  Alcotest.(check string) "the suffix" "bbbbbbbb" (contents (module St) dev);
+  check_bool "nothing synced is left" true
+    (refused (fun () -> St.discard_prefix dev 1))
+
+(* A blackout after a discard tears the unsynced tail exactly as it would
+   have before: the synced prefix moved with the bytes.  Power is cut at
+   every step of a short program; the torn policy keeps half of the
+   unsynced bytes. *)
+let test_sim_discard_then_blackout () =
+  let after_loss at_clock =
+    St.reset ();
+    let dev = St.create ~name:"d" in
+    let body () =
+      St.append dev "aaaa";
+      St.sync dev;
+      St.append dev "bbbbbbbb";
+      St.discard_prefix dev 4;
+      St.append dev "cccc"
+    in
+    let base = Scheduler.round_robin () in
+    let sched =
+      match at_clock with
+      | None -> base
+      | Some c -> Scheduler.power_loss_at ~at_clock:c base
+    in
+    ignore (Sim.run ~sched [| body |]);
+    contents (module St) dev
+  in
+  Alcotest.(check string) "no blackout" "bbbbbbbbcccc" (after_loss None);
+  Alcotest.(check (list string))
+    "a blackout before each step"
+    [ ""; "aa"; "aaaa"; "aaaabbbb"; "bbbb" ]
+    (List.map (fun c -> after_loss (Some c)) [ 0; 1; 2; 3; 4 ])
+
+let test_mc_discard () =
+  let module Mc = Persist.Storage.Mc in
+  let dev = Mc.create ~name:"d" in
+  Mc.append dev "aaaa";
+  Mc.append dev "bbbbbbbb";
+  check_bool "past the end" true (refused (fun () -> Mc.discard_prefix dev 13));
+  Mc.discard_prefix dev 4;
+  Mc.append dev "cc";
+  Alcotest.(check string) "the suffix, then appends" "bbbbbbbbcc"
+    (contents (module Mc) dev);
+  Mc.discard_prefix dev 10;
+  check_int "all of it" 0 (Mc.size dev)
+
+(* ---- the log a checkpoint leaves ----
+
+   A checkpoint discards the log before its triple, so however long the
+   store runs, its device holds at most one triple and the commits since
+   it.  Driven outside any simulator run, on both devices. *)
+
+module Interval_on (Dev : Persist.Storage.S) = struct
+  module D = Persist.Durable.Make (Mem.Atomic) (Mc_fig3) (Dev)
+  module W = Persist.Wal.Make (Dev)
+  module R = Persist.Recovery.Make (Dev)
+
+  let run () =
+    let m = 16 and every = 8 in
+    let config = { D.default_config with D.checkpoint_every = every } in
+    let init = Array.init m (fun i -> -i) in
+    let t = D.create_with ~config ~n:1 init in
+    let h = D.handle t ~pid:0 in
+    let rng = Random.State.make [| 7 |] in
+    let shadow = Array.copy init in
+    for c = 1 to (10 * every) + (every / 2) do
+      let i = Random.State.int rng m and v = Random.State.int rng 1_000_000 in
+      D.update h i v;
+      shadow.(i) <- v;
+      let d = W.read_all (D.storage t) in
+      let updates, others =
+        List.partition
+          (function Wal.Update _ -> true | _ -> false)
+          d.Wal.records
+      in
+      let triple =
+        match d.Wal.records with
+        | Wal.Checkpoint_begin _ :: Wal.Scan_seal _ :: Wal.Checkpoint_end _ :: _
+          ->
+          true
+        | _ -> false
+      in
+      if
+        List.length updates > every
+        || (c >= every && not (triple && List.length others = 3))
+        || (c < every && others <> [])
+      then
+        Alcotest.failf "after %d commits the log holds %d updates and %d others"
+          c (List.length updates) (List.length others);
+      let st, damage = R.load (D.storage t) ~init in
+      check_bool "clean" true (damage = Wal.Clean);
+      if ints_of st <> shadow then
+        Alcotest.failf "after %d commits recovery is not the shadow" c
+    done;
+    check_int "ten checkpoints" 10 (D.generation t);
+    let r = D.recover ~config (D.storage t) ~n:1 init in
+    check_bool "recover rebuilds the shadow" true
+      (D.scan (D.handle r ~pid:0) (Array.init m Fun.id) = shadow)
+end
+
+module Interval_sim = Interval_on (Persist.Storage.Sim)
+module Interval_mc = Interval_on (Persist.Storage.Mc)
+
+let test_log_holds_one_interval () =
+  St.reset ();
+  Metrics.(reset Durable.group);
+  Interval_sim.run ();
+  Interval_mc.run ();
+  check_bool "checkpoints counted the bytes they discarded" true
+    (Metrics.(get Durable.discarded_bytes) > 0)
+
 (* ---- the durable snapshot under the simulator ----
 
    The workload is the durable campaign scenario itself (same index and
@@ -625,22 +767,35 @@ let run_workload ?(config = D.default_config) ~sched () =
   in
   (x.Campaign.result, x.Campaign.violations)
 
-let test_mini_power_loss_sweep () =
+(* One clean baseline to learn the schedule length, then a blackout at
+   every schedule point — the simulate campaign's sweep in miniature. *)
+let power_loss_sweep ?config () =
   Metrics.(reset Durable.group);
   let base seed = Scheduler.random ~seed () in
-  (* one clean baseline to learn the schedule length, then a blackout at
-     every schedule point — the simulate campaign's sweep in miniature *)
-  let res0, viols0 = run_workload ~sched:(base 7) () in
+  let res0, viols0 = run_workload ?config ~sched:(base 7) () in
   check_bool "baseline linearizable" true (viols0 = []);
   for c = 1 to res0.Sim.clock - 1 do
     let sched = Scheduler.power_loss_at ~at_clock:c (base 7) in
-    let _, viols = run_workload ~sched () in
+    let _, viols = run_workload ?config ~sched () in
     if viols <> [] then
       Alcotest.failf "power loss at clock %d: %d violations" c
         (List.length viols)
   done;
   check_bool "blackouts fired" true (Metrics.(get Durable.power_losses) > 0);
   check_bool "recoveries ran" true (Metrics.(get Durable.recoveries) > 0)
+
+let test_mini_power_loss_sweep () = power_loss_sweep ()
+
+(* A checkpoint every 2 commits: the sweep cuts power at each of a
+   checkpoint's steps, its discard included, and at the commits after
+   the discard. *)
+let test_sweep_with_checkpoints () =
+  power_loss_sweep
+    ~config:{ D.default_config with D.checkpoint_every = 2 }
+    ();
+  check_bool "checkpoints sealed" true (Metrics.(get Durable.checkpoints) > 0);
+  check_bool "checkpoints discarded the log before them" true
+    (Metrics.(get Durable.discarded_bytes) > 0)
 
 let test_storm_with_checkpoints () =
   Metrics.(reset Durable.group);
@@ -713,6 +868,15 @@ let () =
             test_checksummed_but_missized;
           Alcotest.test_case "every bit flip is caught" `Quick test_bit_flips;
         ] );
+      ( "storage",
+        [
+          Alcotest.test_case "Sim refuses to discard unsynced bytes" `Quick
+            test_sim_discard_refuses_unsynced;
+          Alcotest.test_case "a blackout after a discard" `Quick
+            test_sim_discard_then_blackout;
+          Alcotest.test_case "Mc discards a prefix in place" `Quick
+            test_mc_discard;
+        ] );
       ( "recovery",
         [
           Alcotest.test_case "begin without end" `Quick
@@ -725,6 +889,8 @@ let () =
             test_checkpoint_roundtrip;
           Alcotest.test_case "checkpoint seals the committed state" `Quick
             test_checkpoint_seals_committed;
+          Alcotest.test_case "the log holds one triple and one interval"
+            `Quick test_log_holds_one_interval;
           Alcotest.test_case "double recovery idempotent" `Quick
             test_double_recovery_idempotent;
           Alcotest.test_case "load allocates little" `Quick
@@ -738,6 +904,8 @@ let () =
         [
           Alcotest.test_case "mini sweep: blackout at every point" `Quick
             test_mini_power_loss_sweep;
+          Alcotest.test_case "mini sweep with a checkpoint every 2 commits"
+            `Quick test_sweep_with_checkpoints;
           Alcotest.test_case "storm with checkpoints (20 seeds)" `Quick
             test_storm_with_checkpoints;
           Alcotest.test_case "plain crash resumes intent (20 seeds)" `Quick

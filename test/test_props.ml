@@ -254,7 +254,8 @@ let wal_prop =
 
 (* A commit's frame, built from the value: for random fields and random
    values of several types, [append_update] appends exactly the bytes of
-   [encode] over the record with the marshalled payload.  One scratch
+   [encode] over the record with the marshalled payload, and so does
+   [append_seal], a checkpoint's seal, over its [Scan_seal].  One scratch
    serves every case, so it grows on the large values (its first size is
    256 bytes) and is reused, stale bytes and all, by the later small
    ones. *)
@@ -296,32 +297,43 @@ let update_frame_prop =
   let sc = Wal.scratch () in
   QCheck2.Test.make ~name:"a commit's frame = encode of its record"
     ~count:300
-    ~print:(fun commits ->
+    ~print:(fun frames ->
       String.concat "; "
         (List.map
-           (fun (lsn, pid, index, v) ->
-             Printf.sprintf "lsn=%d p%d i=%d %s" lsn pid index
-               (print_commit_value v))
-           commits))
+           (fun (seal, (lsn, pid, index, v)) ->
+             if seal then
+               Printf.sprintf "seal gen=%d %s" lsn (print_commit_value v)
+             else
+               Printf.sprintf "lsn=%d p%d i=%d %s" lsn pid index
+                 (print_commit_value v))
+           frames))
     QCheck2.Gen.(
-      list_size (int_range 1 3) (quad int int int commit_value_gen))
-    (fun commits ->
+      list_size (int_range 1 3)
+        (pair bool (quad int int int commit_value_gen)))
+    (fun frames ->
       let dev = Mc.create ~name:"frames" in
-      let append (type a) ~lsn ~pid ~index (v : a) =
-        W.append_update dev sc ~lsn ~pid ~index v;
-        Wal.encode
-          (Wal.Update { lsn; pid; index; payload = Marshal.to_string v [] })
+      (* A seal's gen is the drawn lsn. *)
+      let append (type a) seal ~lsn ~pid ~index (v : a) =
+        let payload = Marshal.to_string v [] in
+        if seal then begin
+          W.append_seal dev sc ~gen:lsn v;
+          Wal.encode (Wal.Scan_seal { gen = lsn; payload })
+        end
+        else begin
+          W.append_update dev sc ~lsn ~pid ~index v;
+          Wal.encode (Wal.Update { lsn; pid; index; payload })
+        end
       in
       let want =
         List.map
-          (fun (lsn, pid, index, v) ->
+          (fun (seal, (lsn, pid, index, v)) ->
             match v with
-            | Int v -> append ~lsn ~pid ~index v
-            | Str v -> append ~lsn ~pid ~index v
-            | Floats v -> append ~lsn ~pid ~index v
-            | Nested v -> append ~lsn ~pid ~index v
-            | Big v -> append ~lsn ~pid ~index v)
-          commits
+            | Int v -> append seal ~lsn ~pid ~index v
+            | Str v -> append seal ~lsn ~pid ~index v
+            | Floats v -> append seal ~lsn ~pid ~index v
+            | Nested v -> append seal ~lsn ~pid ~index v
+            | Big v -> append seal ~lsn ~pid ~index v)
+          frames
       in
       Mc.with_contents dev (fun log n -> String.sub log 0 n)
       = String.concat "" want)
@@ -400,24 +412,32 @@ let checksum_prop =
    resets the base to its unmarshalled seal.  The logs hold duplicate and
    stale lsns, complete, partial and out-of-order triples, generations
    drawn again after a truncation, and optionally a torn tail and one
-   flipped byte. *)
+   flipped byte.  Some triples are checkpoints the engine writes on the
+   device, and each discards the log before it: the device must then
+   hold, and recover from, exactly the log from the last of them on. *)
 type wal_op =
   | Commit of int * int  (** index, value: at the next lsn *)
   | Again of int * int  (** the last lsn once more: an owner's re-append *)
   | Stale of int * int * int  (** an lsn this far below the last one *)
   | Triple of int array  (** a complete checkpoint sealing this view *)
+  | Checkpoint of int array
+      (** the same, written by [Checkpoint.write], which then discards
+          the log before it *)
   | Partial of int * int * int array
       (** a shape of incomplete or out-of-order triple, how far its
           next_lsn lags, and its view *)
   | Lone_end of int  (** an end for some generation so far *)
   | Cut of int * int
-      (** drop this many of the newest records, then draw generations
-          again from a lower one *)
+      (** drop this many of the newest records, but none written before
+          the last [Checkpoint]'s end, then draw generations again from a
+          lower one *)
 
 type wal_case = {
   ops : wal_op list;
   tear : int option;  (** bytes of one more frame, cut short *)
-  flip : (int * int) option;  (** a byte position and a nonzero xor mask *)
+  flip : (int * int) option;
+      (** a byte position and a nonzero xor mask; a byte of a
+          [Checkpoint]'s triple is not flipped *)
 }
 
 let wal_m = 3
@@ -433,6 +453,7 @@ let wal_case_gen =
           (1, map2 (fun i v -> Again (i, v)) index value);
           (1, map3 (fun k i v -> Stale (k, i, v)) (int_range 0 3) index value);
           (2, map (fun v -> Triple v) view);
+          (1, map (fun v -> Checkpoint v) view);
           ( 1,
             map3
               (fun s d v -> Partial (s, d, v))
@@ -448,15 +469,27 @@ let wal_case_gen =
     in
     return { ops; tear; flip })
 
+(* The records in log order, and the positions in it of the first record
+   of each [Checkpoint]'s triple. *)
 let records_of_ops ops =
   let module Wal = Persist.Wal in
-  let log = ref [] and lsn = ref 0 and gen = ref 0 in
-  let emit r = log := r :: !log in
+  let log = ref [] and len = ref 0 and lsn = ref 0 and gen = ref 0 in
+  let sealed = ref [] in
+  let emit r =
+    log := r :: !log;
+    incr len
+  in
   let update lsn index (v : int) =
     emit (Wal.Update { lsn; pid = 0; index; payload = Marshal.to_string v [] })
   in
   let seal gen (view : int array) =
     Wal.Scan_seal { gen; payload = Marshal.to_string view [] }
+  in
+  let triple view =
+    incr gen;
+    emit (Wal.Checkpoint_begin { gen = !gen; next_lsn = !lsn + 1 });
+    emit (seal !gen view);
+    emit (Wal.Checkpoint_end { gen = !gen })
   in
   List.iter
     (function
@@ -465,11 +498,10 @@ let records_of_ops ops =
         update !lsn i v
       | Again (i, v) -> update !lsn i v
       | Stale (k, i, v) -> update (max 0 (!lsn - k)) i v
-      | Triple view ->
-        incr gen;
-        emit (Wal.Checkpoint_begin { gen = !gen; next_lsn = !lsn + 1 });
-        emit (seal !gen view);
-        emit (Wal.Checkpoint_end { gen = !gen })
+      | Triple view -> triple view
+      | Checkpoint view ->
+        sealed := !len :: !sealed;
+        triple view
       | Partial (shape, lag, view) ->
         incr gen;
         let b =
@@ -485,14 +517,35 @@ let records_of_ops ops =
           | _ -> [ s; b; e ])
       | Lone_end g -> emit (Wal.Checkpoint_end { gen = 1 + (g mod (!gen + 1)) })
       | Cut (c, g) ->
+        let floor = match !sealed with at :: _ -> at + 3 | [] -> 0 in
+        let c = min c (!len - floor) in
         log := List.filteri (fun i _ -> i >= c) !log;
+        len := !len - c;
         gen := g mod (!gen + 1))
     ops;
-  List.rev !log
+  (List.rev !log, List.rev !sealed)
 
-let bytes_of_case c =
+(* How a case reaches a device: bytes appended as they are, and the
+   triples the engine writes. *)
+type segment =
+  | Raw of string
+  | Sealed of { gen : int; next_lsn : int; view : int array }
+
+(* The case's segments, and the log the device should hold after them:
+   the bytes from the last [Checkpoint]'s triple on. *)
+let log_of_case c =
   let module Wal = Persist.Wal in
-  let log = String.concat "" (List.map Wal.encode (records_of_ops c.ops)) in
+  let records, sealed = records_of_ops c.ops in
+  let records = Array.of_list records in
+  let frames = Array.map Wal.encode records in
+  let starts = Array.make (Array.length frames + 1) 0 in
+  Array.iteri
+    (fun i f -> starts.(i + 1) <- starts.(i) + String.length f)
+    frames;
+  let in_triple i =
+    List.exists (fun at -> starts.(at) <= i && i < starts.(at + 3)) sealed
+  in
+  let log = String.concat "" (Array.to_list frames) in
   let log =
     match c.tear with
     | None -> log
@@ -501,13 +554,29 @@ let bytes_of_case c =
       let f = Wal.encode (Wal.Update { lsn = 1_000; pid = 0; index = 0; payload }) in
       log ^ String.sub f 0 (k mod String.length f)
   in
-  match c.flip with
-  | Some (pos, mask) when log <> "" ->
-    let b = Bytes.of_string log in
-    let i = pos mod Bytes.length b in
-    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask));
-    Bytes.to_string b
-  | _ -> log
+  let log =
+    match c.flip with
+    | Some (pos, mask)
+      when log <> "" && not (in_triple (pos mod String.length log)) ->
+      let b = Bytes.of_string log in
+      let i = pos mod Bytes.length b in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask));
+      Bytes.to_string b
+    | _ -> log
+  in
+  let from off = String.sub log off (String.length log - off) in
+  let rec segments off = function
+    | [] -> [ Raw (from off) ]
+    | at :: rest -> (
+      match (records.(at), records.(at + 1)) with
+      | Wal.Checkpoint_begin { gen; next_lsn }, Wal.Scan_seal { payload; _ } ->
+        Raw (String.sub log off (starts.(at) - off))
+        :: Sealed { gen; next_lsn; view = Marshal.from_string payload 0 }
+        :: segments starts.(at + 3) rest
+      | _ -> assert false)
+  in
+  let kept = match List.rev sealed with at :: _ -> starts.(at) | [] -> 0 in
+  (segments 0 sealed, from kept)
 
 let eager_replay ~init records =
   let module Wal = Persist.Wal in
@@ -543,21 +612,27 @@ let eager_replay ~init records =
     checkpoint_gen = !gen;
   }
 
-(* Load [log] on a fresh device, appended in 100-byte pieces: the state,
-   the damage, and the device's size after repair. *)
+(* Write a case's segments to a fresh device, raw bytes in 100-byte
+   pieces, and load it: the state, the damage, and the device's size
+   after repair. *)
 module Load_on (St : Persist.Storage.S) = struct
   module R = Persist.Recovery.Make (St)
+  module C = Persist.Checkpoint.Make (St)
 
-  let load log ~init =
-    let dev = St.create ~name:"wal" in
-    let n = String.length log in
-    let rec go off =
+  let load segments ~init =
+    let dev = St.create ~name:"wal" and sc = Persist.Wal.scratch () in
+    let rec raw s off =
+      let n = String.length s in
       if off < n then begin
-        St.append dev (String.sub log off (min 100 (n - off)));
-        go (off + 100)
+        St.append dev (String.sub s off (min 100 (n - off)));
+        raw s (off + 100)
       end
     in
-    go 0;
+    List.iter
+      (function
+        | Raw s -> raw s 0
+        | Sealed { gen; next_lsn; view } -> C.write dev sc ~gen ~next_lsn view)
+      segments;
     let st, damage = R.load dev ~init in
     (st, damage, St.size dev)
 end
@@ -570,16 +645,18 @@ let recovery_prop =
   QCheck2.Test.make ~name:"device recovery = eager replay, on Sim and Mc"
     ~count:300
     ~print:(fun c ->
-      Fmt.str "%a tear=%a flip=%a"
+      Fmt.str "%a checkpoints at %a tear=%a flip=%a"
         Fmt.(Dump.list Wal.pp_record)
-        (records_of_ops c.ops)
+        (fst (records_of_ops c.ops))
+        Fmt.(Dump.list int)
+        (snd (records_of_ops c.ops))
         Fmt.(Dump.option int)
         c.tear
         Fmt.(Dump.option (Dump.pair int int))
         c.flip)
     wal_case_gen
     (fun c ->
-      let log = bytes_of_case c in
+      let segments, log = log_of_case c in
       let init = Array.init wal_m (fun i -> -1 - i) in
       let d = Wal.decode_all log in
       let want = eager_replay ~init d.Wal.records in
@@ -592,7 +669,8 @@ let recovery_prop =
         && size = d.Wal.good_bytes
       in
       Persist.Storage.Sim.reset ();
-      agrees (Load_sim.load log ~init) && agrees (Load_mc.load log ~init))
+      agrees (Load_sim.load segments ~init)
+      && agrees (Load_mc.load segments ~init))
 
 let snapshot_impls : (string * (module SNAP)) list =
   [
