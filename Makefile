@@ -109,8 +109,12 @@ loadgen-smoke:
 # double collect with a fig3 sub-scan fallback) and at -r 6 (stride 10:
 # every scan crosses shards and retries its double collect); the target
 # fails unless the default runs fell back and the -r 6 runs retried.
-# Then the supervised sharded front under combined nemeses, again also at
-# -r 6, where its scans cross shards and run the same double collect
+# Then the supervised sharded front under combined nemeses, which runs
+# the same validated scan code: at the defaults its scans stay in one
+# closed shard and take the same double collect with its sub-scan
+# fallback (the target fails unless the stuck-epoch, stall and combined
+# runs fell back; at their committed seeds they fall back 42, 44 and 46
+# times), and at -r 6 its scans cross shards and run the double collect
 # under a budget (the target fails unless those runs retried).  Every
 # Atomic scan is checked for linearizability; every budget exhaustion
 # must surface as Degraded; the stuck-epoch runs must complete at least
@@ -159,6 +163,12 @@ chaos-runtime:
 	  --nemesis chaos --mem-faults corrupt,stale --mem-rate 0.02 \
 	  --mem-max 6 --stick-epoch 1 --seed 200 --seeds 10 --check \
 	  --json $(ARTIFACTS)/chaos-runtime-combined.json
+	python3 -c "import json, sys; \
+	  n = {f: json.load(open('$(ARTIFACTS)/chaos-runtime-' + f + '.json'))['scan_fallbacks'] \
+	       for f in ('stuck-epoch', 'stall', 'combined')}; \
+	  print('resilient scan_fallbacks:', n); \
+	  bad = [f + ': scan_fallbacks = 0' for f in n if n[f] == 0]; \
+	  sys.exit('; '.join(bad) if bad else 0)"
 	dune exec bin/loadgen.exe -- --impl resilient --shards 4 \
 	  --partition range -m 1024 -r 16 --domains 2 --mix 1u+1s \
 	  --scan window --duration 500ms --warmup 0.1s --seed 42 \

@@ -88,13 +88,7 @@ let impl_of ~shards ~partition ~open_shard name : (module Snapshot.S) =
         (struct
           let shards = shards
           let partition = partition
-          let max_rounds = 6
-          let backoff_base = 2
-          let backoff_max = 16
-          let breaker_threshold = 3
-          let breaker_cooldown = 4
-          let probe_successes = 2
-          let heal_quiesce = 64
+          include Psnap_runtime.Resilient.Defaults
         end)
     in
     (module struct

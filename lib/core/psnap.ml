@@ -225,31 +225,24 @@ module Sim_sharded_fig3 =
    registers (docs/MODEL.md §9, EXPERIMENTS.md E15).  Logical step counts
    are unchanged; each logical access costs several simulator steps. ---- *)
 
-module Sim_aset_fai_hardened =
-  Psnap_activeset.Fai_cas.Make (Mem.Sim_replicated)
-
-module Sim_aset_bounded_hardened =
-  Psnap_activeset.Bounded.Make (Mem.Sim_replicated)
-
 (** Figure 3 over 3-fold replicated registers: survives seeded memory-fault
     storms that produce non-linearizable histories on {!Sim_fig3}. *)
 module Sim_fig3_hardened =
-  Psnap_snapshot.Partial_cas.Make (Mem.Sim_replicated) (Sim_aset_fai_hardened)
+  Psnap_snapshot.Partial_cas.Make (Mem.Sim_replicated)
+    (Psnap_activeset.Fai_cas.Make (Mem.Sim_replicated))
 
 (** Figure 1 over 3-fold replicated registers. *)
 module Sim_fig1_hardened =
   Psnap_snapshot.Partial_register.Make
     (Mem.Sim_replicated)
-    (Sim_aset_bounded_hardened)
-
-module Sim_aset_fai_selfcheck =
-  Psnap_activeset.Fai_cas.Make (Mem.Sim_selfcheck)
+    (Psnap_activeset.Bounded.Make (Mem.Sim_replicated))
 
 (** Figure 3 over single-cell self-validating registers: detects and
     repairs corruption without replication (but cannot survive stuck
     cells). *)
 module Sim_fig3_selfcheck =
-  Psnap_snapshot.Partial_cas.Make (Mem.Sim_selfcheck) (Sim_aset_fai_selfcheck)
+  Psnap_snapshot.Partial_cas.Make (Mem.Sim_selfcheck)
+    (Psnap_activeset.Fai_cas.Make (Mem.Sim_selfcheck))
 
 (** The resilient serving layer on the simulator (docs/MODEL.md §11,
     EXPERIMENTS.md E17): Figure 3 over self-validating registers as the
@@ -264,13 +257,7 @@ module Sim_resilient_fig3 =
     (struct
       let shards = 4
       let partition = `Round_robin
-      let max_rounds = 6
-      let backoff_base = 2
-      let backoff_max = 16
-      let breaker_threshold = 3
-      let breaker_cooldown = 4
-      let probe_successes = 2
-      let heal_quiesce = 64
+      include Psnap_runtime.Resilient.Defaults
     end)
 
 (** Figure 3 made failure-atomically durable under the simulator: a
@@ -304,42 +291,42 @@ module Net = struct
   exception Unavailable = Psnap_net.Net_abd.Unavailable
 end
 
-module Sim_net_aset_fai = Psnap_activeset.Fai_cas.Make (Psnap_net.Net_abd.Sim_mem)
-
 (** Figure 3 over replicated ABD quorum registers on the simulator — the
     instance the [--mem net] chaos campaigns drive: every base-object
     access becomes a bounded quorum operation against [--replicas]
     crash-prone replicas, and the whole thing stays linearizable under
     partitions, duplication and reordering (EXPERIMENTS.md E19). *)
 module Sim_net_fig3 =
-  Psnap_snapshot.Partial_cas.Make (Psnap_net.Net_abd.Sim_mem) (Sim_net_aset_fai)
-
-module Mc_net_aset_fai = Psnap_activeset.Fai_cas.Make (Psnap_net.Net_abd.Mc_mem)
+  Psnap_snapshot.Partial_cas.Make (Psnap_net.Net_abd.Sim_mem)
+    (Psnap_activeset.Fai_cas.Make (Psnap_net.Net_abd.Sim_mem))
 
 (** Figure 3 over the multicore ABD cluster (replica domains + inbox
     queues) — what the loadgen's [--mem net] drives to price quorum
     round-trips against raw shared memory. *)
 module Mc_net_fig3 =
-  Psnap_snapshot.Partial_cas.Make (Psnap_net.Net_abd.Mc_mem) (Mc_net_aset_fai)
+  Psnap_snapshot.Partial_cas.Make (Psnap_net.Net_abd.Mc_mem)
+    (Psnap_activeset.Fai_cas.Make (Psnap_net.Net_abd.Mc_mem))
 
 (* ---- Pre-applied instances: multicore (Atomic) backend ---- *)
 
 module Mc_aset_fai = Psnap_activeset.Fai_cas.Make (Mem.Atomic)
-module Mc_aset_fai_small = Psnap_activeset.Fai_cas_small.Make (Mem.Atomic)
-module Mc_aset_bounded = Psnap_activeset.Bounded.Make (Mem.Atomic)
 module Mc_aset_splitter = Psnap_activeset.Splitter_tree.Make (Mem.Atomic)
-module Mc_fig1 = Psnap_snapshot.Partial_register.Make (Mem.Atomic) (Mc_aset_bounded)
+module Mc_fig1 =
+  Psnap_snapshot.Partial_register.Make (Mem.Atomic)
+    (Psnap_activeset.Bounded.Make (Mem.Atomic))
 
 module Mc_fig1_adaptive =
   Psnap_snapshot.Partial_register.Make (Mem.Atomic) (Mc_aset_splitter)
 
 module Mc_fig1_small =
-  Psnap_snapshot.Partial_register.Make_small (Mem.Atomic) (Mc_aset_bounded)
+  Psnap_snapshot.Partial_register.Make_small (Mem.Atomic)
+    (Psnap_activeset.Bounded.Make (Mem.Atomic))
 
 module Mc_fig3 = Psnap_snapshot.Partial_cas.Make (Mem.Atomic) (Mc_aset_fai)
 
 module Mc_fig3_small =
-  Psnap_snapshot.Partial_cas.Make_small (Mem.Atomic) (Mc_aset_fai_small)
+  Psnap_snapshot.Partial_cas.Make_small (Mem.Atomic)
+    (Psnap_activeset.Fai_cas_small.Make (Mem.Atomic))
 
 module Mc_afek = Psnap_snapshot.Afek.Make (Mem.Atomic)
 module Mc_farray = Psnap_snapshot.Farray_snapshot.Make (Mem.Atomic)

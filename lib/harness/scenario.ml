@@ -195,7 +195,7 @@ let flat (module S : Snapshot.S) w ~check =
 
 (* ---- the resilient serving front ---- *)
 
-let max_rounds = 6
+let max_rounds = Runtime.Resilient.Defaults.max_rounds
 
 let partition = `Round_robin
 
@@ -206,13 +206,7 @@ let resilient ~shards ~stick_epoch ~stall_shard ~slow_pid w =
       (struct
         let shards = shards
         let partition = partition
-        let max_rounds = max_rounds
-        let backoff_base = 2
-        let backoff_max = 16
-        let breaker_threshold = 3
-        let breaker_cooldown = 4
-        let probe_successes = 2
-        let heal_quiesce = 64
+        include Runtime.Resilient.Defaults
       end)
   in
   let init = init w in

@@ -2,18 +2,22 @@
 
 type t = {
   partition : [ `Round_robin | `Range ];
+  m : int;
   nshards : int;
   q : int;  (** base shard size [m / nshards] *)
   rem : int;  (** the first [rem] shards get [q+1] *)
 }
 
 let make partition ~shards ~m =
+  if m < 1 then invalid_arg "Placement.make: empty";
+  if shards < 1 then invalid_arg "Placement.make: shards < 1";
   let nshards = min shards m in
-  { partition; nshards; q = m / nshards; rem = m mod nshards }
+  { partition; m; nshards; q = m / nshards; rem = m mod nshards }
 
 let nshards p = p.nshards
 
 let locate p i =
+  if i < 0 || i >= p.m then invalid_arg "Placement.locate: index";
   match p.partition with
   | `Round_robin -> (i mod p.nshards, i / p.nshards)
   | `Range ->
@@ -32,3 +36,7 @@ let global p s j =
   | `Range ->
     if s < p.rem then (s * (p.q + 1)) + j
     else (p.rem * (p.q + 1)) + ((s - p.rem) * p.q) + j
+
+let split p init =
+  Array.init p.nshards (fun s ->
+      Array.init (size p s) (fun j -> init.(global p s j)))

@@ -3,10 +3,11 @@
 
    See resilient.mli for the API contract and docs/MODEL.md §11 for the
    degradation semantics.  The construction shares Sharded's placement
-   (Placement) and its cross-shard validation: per-shard snapshot
-   instances, per-shard epochs installed with each value, and a scan that
-   double-collects single-component reads until two collects agree.  It
-   adds three mechanisms on top:
+   (Placement) and its validated scan ([Sharded.Scan]): the collects,
+   their agreement test, the single-shard fast path with its sub-scan
+   fallback and the per-shard sub-scans all run Sharded's code, applied
+   here to a read that goes through the shard pointer.  What this module
+   adds is supervision:
 
    - scans carry a collect budget with exponential backoff between
      disagreeing collects; on exhaustion they return [Degraded] instead
@@ -19,16 +20,14 @@
      quiescence, copied by one final sub-scan, rebuilt on the replacement
      implementation [R] (hardened memory), and swapped in by CAS.
 
-   Values are stored as [((epoch, nonce), v)].  Epochs come from a
-   per-shard, per-generation fetch&increment cell and give scans their
-   ABA-free validation (as in Sharded); the nonce is drawn from a
-   step-free fetch&add counter and makes tags unique even when the epoch
-   cell is stuck (a stuck fetch&add returns the same epoch twice — the
-   nonce keeps the two updates distinguishable, so validation never
-   silently accepts a changed component, and the non-monotone draw is
-   itself the detector that triggers healing).  A heal copies every tag
-   with its value, so two collects that agree across a generation swap
-   still saw an unchanged component. *)
+   Values are stored as [(nonce, v)].  The nonce is drawn from a step-free
+   fetch&add counter, so every update's tag is unique and never reused:
+   validation is ABA-free even when a shard's epoch cell is stuck.  Each
+   update still draws from its shard's per-generation epoch cell, only to
+   detect a stuck one (a stuck fetch&add returns the same epoch twice),
+   which triggers healing.  A heal copies every tag with its value, so
+   two collects that agree across a generation swap still saw an
+   unchanged component. *)
 
 module Metrics = Psnap_sched.Metrics
 
@@ -52,6 +51,16 @@ module type CONFIG = sig
   val heal_quiesce : int
 end
 
+module Defaults = struct
+  let max_rounds = 6
+  let backoff_base = 2
+  let backoff_max = 16
+  let breaker_threshold = 3
+  let breaker_cooldown = 4
+  let probe_successes = 2
+  let heal_quiesce = 64
+end
+
 module Make
     (M : Psnap_mem.Mem_intf.S)
     (S : Psnap_snapshot.Snapshot_intf.S)
@@ -70,17 +79,32 @@ struct
 
   let next_nonce () = Atomic.fetch_and_add nonce_counter 1 + 1
 
-  type tag = int * int  (** (epoch, nonce) *)
+  (* A shard instance as one process drives it, whichever implementation
+     serves it. *)
+  type 'a ops = {
+    read : int -> int * 'a;
+    update : int -> int * 'a -> unit;
+    scan : int array -> (int * 'a) array;
+    collects : unit -> int;  (** the last [scan]'s collects *)
+  }
 
-  type 'a impl =
-    | Prim of (tag * 'a) S.t  (** original shard instance *)
-    | Healed of (tag * 'a) R.t  (** post-heal replacement instance *)
+  module Ops (X : Psnap_snapshot.Snapshot_intf.S) = struct
+    let of_instance x pid =
+      let h = X.handle x ~pid in
+      let collects () = X.last_scan_collects h in
+      { read = X.read h; update = X.update h; scan = X.scan h; collects }
+  end
+
+  module Prim = Ops (S)
+  module Healed = Ops (R)
 
   type 'a shard_state = {
     gen : int;  (** generation: bumped by every completed heal *)
-    impl : 'a impl;
-    epoch : int M.ref_;  (** per-generation epoch source; a heal installs
-                             a fresh cell, so a stuck one is left behind *)
+    ops : int -> 'a ops;  (** the instance (primary [S] until healed onto
+                              [R]), as process [pid] drives it *)
+    epoch : int M.ref_;  (** per-generation epoch source, only read for
+                             stuck detection; a heal installs a fresh
+                             cell, so a stuck one is left behind *)
   }
 
   (* The shard pointer.  Both constructors carry the same payload; the
@@ -112,20 +136,18 @@ struct
     breakers : breaker array;
     n : int;
     place : Placement.t;
-    m : int;
   }
-
-  type 'a shard_handle = HP of (tag * 'a) S.handle | HR of (tag * 'a) R.handle
 
   type 'a handle = {
     t : 'a t;
     pid : int;
-    cache : (int * 'a shard_handle) option array;
+    cache : (int * 'a ops) option array;
         (** per shard: handle for a given generation, rebuilt lazily after
             a heal swaps the instance *)
     last_epoch : int array;  (** newest epoch drawn per shard (this handle) *)
     last_gen : int array;
     stuck_reported : bool array;  (** one heal trigger per (shard, handle) *)
+    mutable struck : int list;  (** shards struck in the current collect *)
     mutable collects : int;
     mutable rounds : int;
     mutable degraded : bool;
@@ -142,25 +164,21 @@ struct
 
   let create ~n init =
     let m = Array.length init in
-    if m = 0 then invalid_arg "Resilient.create: empty";
-    if C.shards < 1 then invalid_arg "Resilient.create: shards < 1";
     if C.max_rounds < 2 then invalid_arg "Resilient.create: max_rounds < 2";
     if C.heal_quiesce < 1 then invalid_arg "Resilient.create: heal_quiesce < 1";
     let place = Placement.make C.partition ~shards:C.shards ~m in
-    let nshards = Placement.nshards place in
     let ptrs =
-      Array.init nshards (fun s ->
-          let sub =
-            S.create ~n
-              (Array.init (Placement.size place s) (fun j ->
-                   ((0, 0), init.(Placement.global place s j))))
-          in
+      Array.mapi
+        (fun s vs ->
+          let sub = S.create ~n (Array.map (fun v -> (0, v)) vs) in
           (* drawn epochs start at 1: never collide with the initial 0 *)
           let epoch = M.make ~name:(Printf.sprintf "rshard%d.epoch" s) 1 in
           M.make
             ~name:(Printf.sprintf "rshard%d.ptr" s)
-            (Active { gen = 1; impl = Prim sub; epoch }))
+            (Active { gen = 1; ops = Prim.of_instance sub; epoch }))
+        (Placement.split place init)
     in
+    let nshards = Array.length ptrs in
     let inflight =
       Array.init nshards (fun s ->
           M.make ~name:(Printf.sprintf "rshard%d.inflight" s) 0)
@@ -174,7 +192,6 @@ struct
             { bstate = Closed; strikes = 0; cooldown = 0; probes = 0 });
       n;
       place;
-      m;
     }
 
   let handle t ~pid =
@@ -186,6 +203,7 @@ struct
       last_epoch = Array.make nshards (-1);
       last_gen = Array.make nshards 0;
       stuck_reported = Array.make nshards false;
+      struck = [];
       collects = 0;
       rounds = 0;
       degraded = false;
@@ -193,63 +211,51 @@ struct
 
   (* ---- circuit breakers ---- *)
 
+  (* Every transition lands in a fresh state: strikes and probes restart
+     and the cooldown is re-armed.  Counted only when the state changes. *)
+  let move b st =
+    if b.bstate <> st then
+      Metrics.incr
+        (match st with
+        | Open -> Metrics.Serving.breaker_opens
+        | Half_open -> Metrics.Serving.breaker_half_opens
+        | Closed -> Metrics.Serving.breaker_closes);
+    b.bstate <- st;
+    b.strikes <- 0;
+    b.probes <- 0;
+    b.cooldown <- C.breaker_cooldown
+
+  (* Fault evidence against shard [s]: opens a closed breaker after
+     [C.breaker_threshold] consecutive strikes, and a half-open one at
+     once (a failed probe). *)
   let strike t s =
     let b = t.breakers.(s) in
-    match b.bstate with
-    | Open -> ()
-    | Half_open ->
-      (* a failed probe reopens immediately *)
-      b.bstate <- Open;
-      b.cooldown <- C.breaker_cooldown;
-      b.probes <- 0;
-      Metrics.(incr Serving.breaker_opens)
-    | Closed ->
-      b.strikes <- b.strikes + 1;
-      if b.strikes >= C.breaker_threshold then begin
-        b.bstate <- Open;
-        b.cooldown <- C.breaker_cooldown;
-        Metrics.(incr Serving.breaker_opens)
-      end
+    b.strikes <- b.strikes + 1;
+    if b.bstate = Half_open
+       || (b.bstate = Closed && b.strikes >= C.breaker_threshold)
+    then move b Open
 
   (* A fully validated scan that included shard [s]: clears consecutive
      strikes; counts as a successful probe when half-open. *)
   let breaker_ok t s =
     let b = t.breakers.(s) in
-    match b.bstate with
-    | Closed -> b.strikes <- 0
-    | Half_open ->
+    b.strikes <- 0;
+    if b.bstate = Half_open then begin
       b.probes <- b.probes + 1;
-      if b.probes >= C.probe_successes then begin
-        b.bstate <- Closed;
-        b.strikes <- 0;
-        b.probes <- 0;
-        Metrics.(incr Serving.breaker_closes)
-      end
-    | Open -> ()
+      if b.probes >= C.probe_successes then move b Closed
+    end
 
   (* Called once per scan per touched shard: ticks the open-state cooldown
-     and says whether THIS scan must skip validating the shard. *)
+     and says whether THIS scan must skip validating the shard (once the
+     cooldown has run out, the next scan probes it half-open). *)
   let breaker_skips t s =
     let b = t.breakers.(s) in
-    match b.bstate with
-    | Closed | Half_open -> false
-    | Open ->
-      if b.cooldown > 0 then b.cooldown <- b.cooldown - 1;
-      if b.cooldown <= 0 then begin
-        (* next scan probes it half-open; this one still skips *)
-        b.bstate <- Half_open;
-        b.probes <- 0;
-        Metrics.(incr Serving.breaker_half_opens)
-      end;
-      true
-
-  let reclose t s =
-    let b = t.breakers.(s) in
-    if b.bstate <> Closed then Metrics.(incr Serving.breaker_closes);
-    b.bstate <- Closed;
-    b.strikes <- 0;
-    b.probes <- 0;
-    b.cooldown <- 0
+    b.bstate = Open
+    && begin
+         b.cooldown <- b.cooldown - 1;
+         if b.cooldown <= 0 then move b Half_open;
+         true
+       end
 
   (* ---- self-healing ---- *)
 
@@ -270,33 +276,21 @@ struct
     match M.read t.ptrs.(s) with
     | Active _ -> ()
     | Sealed st as sealed ->
-      let budget = ref C.heal_quiesce in
-      let quiet = ref false in
-      while (not !quiet) && !budget > 0 do
-        decr budget;
-        if M.read t.inflight.(s) = 0 then quiet := true
-      done;
-      if not !quiet then begin
-        if M.cas t.ptrs.(s) ~expected:sealed ~desired:(Active st) then
-          Metrics.(incr Serving.heals_aborted)
-      end
-      else begin
+      let[@psnap.bounded "at most C.heal_quiesce probes"] rec quiet k =
+        k > 0 && (M.read t.inflight.(s) = 0 || quiet (k - 1))
+      in
+      if quiet C.heal_quiesce then begin
         let idxs = Array.init (Placement.size t.place s) Fun.id in
-        let rows =
-          match st.impl with
-          | Prim p -> S.scan (S.handle p ~pid) idxs
-          | Healed r -> R.scan (R.handle r ~pid) idxs
-        in
-        let maxe = Array.fold_left (fun a ((e, _), _) -> max a e) 0 rows in
-        let epoch =
-          M.make ~name:(Printf.sprintf "rshard%d.epoch" s) (maxe + 1)
-        in
-        let st' = Active { gen = st.gen + 1; impl = Healed (R.create ~n:t.n rows); epoch } in
+        let rows = (st.ops pid).scan idxs in
+        let epoch = M.make ~name:(Printf.sprintf "rshard%d.epoch" s) 1 in
+        let st' = Active { gen = st.gen + 1; ops = Healed.of_instance (R.create ~n:t.n rows); epoch } in
         if M.cas t.ptrs.(s) ~expected:sealed ~desired:st' then begin
-          reclose t s;
+          move t.breakers.(s) Closed;
           Metrics.(incr Serving.heals_completed)
         end
       end
+      else if M.cas t.ptrs.(s) ~expected:sealed ~desired:(Active st) then
+        Metrics.(incr Serving.heals_aborted)
 
   (* Seal shard [s] and drive the heal to completion (or abort).  Raced
      seals help whatever state they find. *)
@@ -327,11 +321,7 @@ struct
     match h.cache.(s) with
     | Some (g, hd) when g = st.gen -> hd
     | _ ->
-      let hd =
-        match st.impl with
-        | Prim p -> HP (S.handle p ~pid:h.pid)
-        | Healed r -> HR (R.handle r ~pid:h.pid)
-      in
+      let hd = st.ops h.pid in
       h.cache.(s) <- Some (st.gen, hd);
       hd
 
@@ -341,7 +331,6 @@ struct
        "retries only while the shard is Sealed; complete_heal unseals it \
         (swap or abort) before the retry"] rec update h i v =
     let t = h.t in
-    if i < 0 || i >= t.m then invalid_arg "Resilient.update: index";
     let s, j = Placement.locate t.place i in
     ignore (M.fetch_and_add t.inflight.(s) 1);
     match M.read t.ptrs.(s) with
@@ -354,17 +343,16 @@ struct
     | Active st ->
       let e = M.fetch_and_add st.epoch 1 in
       (* Epoch draws are strictly increasing per generation unless the
-         cell stopped applying adds (Stuck_cell).  The nonce keeps the
-         update's tag unique regardless, so we install first — the object
-         stays linearizable — and trigger healing after releasing our
-         inflight token (healing waits for quiescence, which includes
-         us). *)
+         cell stopped applying adds (Stuck_cell).  The tag is the nonce,
+         unique regardless, so we install first — the object stays
+         linearizable — and trigger healing after releasing our inflight
+         token (healing waits for quiescence, which includes us). *)
       let stuck = st.gen = h.last_gen.(s) && e <= h.last_epoch.(s) in
-      h.last_gen.(s) <- st.gen;
-      h.last_epoch.(s) <- max e h.last_epoch.(s);
-      (match handle_for h s st with
-      | HP hp -> S.update hp j ((e, next_nonce ()), v)
-      | HR hr -> R.update hr j ((e, next_nonce ()), v));
+      if not stuck then begin
+        h.last_gen.(s) <- st.gen;
+        h.last_epoch.(s) <- e
+      end;
+      (handle_for h s st).update j (next_nonce (), v);
       ignore (M.fetch_and_add t.inflight.(s) (-1));
       if stuck then begin
         Metrics.(incr Serving.stuck_epochs);
@@ -401,110 +389,55 @@ struct
   (* Shard [s]'s active instance, with any in-progress heal helped first. *)
   let active h s = handle_for h s (active_state h.t ~pid:h.pid s)
 
-  (* One component's [(tag, value)] pair: the active instance's own
-     linearizable read. *)
-  let read_pair h (s, j) =
-    match active h s with HP hp -> S.read hp j | HR hr -> R.read hr j
+  (* Each collect counts one round; a sub-scan adds its collects only.
+     Hardened detections are charged to the shard whose read or sub-scan
+     surfaced them, at most one strike per shard per collect — a heuristic
+     (other processes run concurrently), but fault-saturated shards
+     dominate the deltas they sit on.  A read is the active instance's
+     own linearizable read, after one read of the shard pointer. *)
+  module Core = Sharded.Scan (struct
+    type nonrec 'a h = 'a handle
 
-  (* One sub-scan of shard [s]: an atomic fragment of that shard.
-     Hardened detections that surface during it are charged to [s] — a
-     heuristic (other processes run concurrently), but fault-saturated
-     shards dominate the deltas they sit on. *)
-  let sub_scan h s js =
-    let ev0 = hardened_evidence () in
-    let rows =
-      match active h s with
-      | HP hp ->
-        let r = S.scan hp js in
-        h.collects <- h.collects + S.last_scan_collects hp;
-        r
-      | HR hr ->
-        let r = R.scan hr js in
-        h.collects <- h.collects + R.last_scan_collects hr;
-        r
-    in
-    if hardened_evidence () > ev0 then strike h.t s;
-    rows
+    let tick h =
+      h.rounds <- h.rounds + 1;
+      h.collects <- h.collects + 1;
+      h.struck <- []
 
-  (* One collect (and one round): each component's pair, one read each.
-     Detections are charged to the shard whose read surfaced them, at most
-     one strike per shard per collect. *)
-  let collect h locs =
-    h.rounds <- h.rounds + 1;
-    h.collects <- h.collects + 1;
-    let struck = ref [] in
-    Array.map
-      (fun ((s, _) as loc) ->
-        let ev0 = hardened_evidence () in
-        let pair = read_pair h loc in
-        if hardened_evidence () > ev0 && not (List.mem s !struck) then begin
-          struck := s :: !struck;
-          strike h.t s
-        end;
-        pair)
-      locs
+    let reader h (s, j) =
+      let ev0 = hardened_evidence () in
+      let pair = (active h s).read j in
+      if hardened_evidence () > ev0 && not (List.mem s h.struck) then begin
+        h.struck <- s :: h.struck;
+        strike h.t s
+      end;
+      pair
 
-  let same_tag ((e, u) : tag) ((e', u') : tag) = e = e' && u = u'
-
-  (* Positions, ascending, whose tags differ between two collects. *)
-  let disagreeing prev cur =
-    List.filter
-      (fun p -> not (same_tag (fst prev.(p)) (fst cur.(p))))
-      (List.init (Array.length cur) Fun.id)
-
-  (* Positions, ascending, of the requested components whose shard
-     satisfies [keep]. *)
-  let positions locs keep =
-    List.init (Array.length locs) Fun.id
-    |> List.filter (fun k -> keep (fst locs.(k)))
-    |> Array.of_list
-
-  (* The requested values: each part pairs positions with the pairs read
-     for them, and the first part is non-empty. *)
-  let emit len parts =
-    let out = Array.make len (snd (snd (List.hd parts)).(0)) in
-    List.iter
-      (fun (pos, row) -> Array.iteri (fun p k -> out.(k) <- snd row.(p)) pos)
-      parts;
-    out
+    let sub_scan h s js =
+      let ev0 = hardened_evidence () in
+      let o = active h s in
+      let rows = o.scan js in
+      h.collects <- h.collects + o.collects ();
+      if hardened_evidence () > ev0 then strike h.t s;
+      rows
+  end)
 
   let scan_outcome h idxs =
     let t = h.t in
-    let len = Array.length idxs in
     h.collects <- 0;
     h.rounds <- 0;
     h.degraded <- false;
-    if len = 0 then Atomic [||]
+    if Array.length idxs = 0 then Atomic [||]
     else begin
-      let locs =
-        Array.map
-          (fun i ->
-            if i < 0 || i >= t.m then invalid_arg "Resilient.scan: index";
-            Placement.locate t.place i)
-          idxs
-      in
+      let locs = Array.map (fun i -> Placement.locate t.place i) idxs in
       (* touched shards, ascending; each breaker ticks once per scan *)
-      let touched =
-        List.sort_uniq Int.compare (Array.to_list (Array.map fst locs))
-      in
+      let touched = Core.shards locs in
       let open_ = List.filter (breaker_skips t) touched in
       let validated = List.filter (fun s -> not (List.mem s open_)) touched in
-      let cross = List.compare_length_with validated 2 >= 0 in
-      (* One sub-scan per open shard, unvalidated.  A lone validated shard
-         is served by one sub-scan too: a sub-scan is linearizable on its
-         own, so it needs no double collect (and still counts as a
-         probe). *)
-      let fragments =
-        List.map
-          (fun s ->
-            let pos = positions locs (Int.equal s) in
-            (pos, sub_scan h s (Array.map (fun k -> snd locs.(k)) pos)))
-          (if cross then open_ else touched)
-      in
-      (* Atomic unless some shard is suspect *)
+      (* Atomic unless some shard is suspect; every validated shard
+         passed unless some component failed validation *)
       let finish ?(suspects = open_) ?(failed = []) values =
-        Metrics.(add Serving.scan_rounds h.rounds);
-        if h.rounds > 2 then Metrics.(add Serving.scan_retries (h.rounds - 2));
+        Core.count h.rounds;
+        if failed = [] then List.iter (breaker_ok t) validated;
         if suspects = [] then Atomic values
         else begin
           h.degraded <- true;
@@ -512,41 +445,33 @@ struct
           Degraded { values; suspects; failed; rounds = h.rounds }
         end
       in
-      if not cross then begin
-        h.rounds <- 1;
-        List.iter (breaker_ok t) validated;
-        finish (emit len fragments)
-      end
-      else begin
-        (* Sharded's double collect over the validated components, under a
-           budget: C.max_rounds collects in total, then Degraded *)
-        let vpos = positions locs (fun s -> not (List.mem s open_)) in
+      match validated with
+      | [ s ] when open_ = [] -> finish (Core.single_shard h s locs)
+      | _ :: _ :: _ ->
+        (* Sharded's double collect over the validated components under a
+           budget (C.max_rounds collects, then Degraded), then one
+           unvalidated sub-scan per open shard *)
+        let vpos = Core.positions locs (fun s -> not (List.mem s open_)) in
         let vlocs = Array.map (fun k -> locs.(k)) vpos in
-        let[@psnap.bounded
-             "at most C.max_rounds collects: every collect increments \
-              h.rounds and the budget check precedes the recursion"] rec
-            settle prev =
-          let cur = collect h vlocs in
-          let parts = (vpos, cur) :: fragments in
-          match disagreeing prev cur with
-          | [] ->
-            List.iter (breaker_ok t) validated;
-            finish (emit len parts)
-          | dis when h.rounds >= C.max_rounds ->
-            let suspects =
-              List.sort_uniq Int.compare (List.map (fun p -> fst vlocs.(p)) dis)
-            in
-            List.iter (strike t) suspects;
-            finish ~suspects:(open_ @ suspects)
-              ~failed:
-                (List.map (fun p -> (idxs.(vpos.(p)), fst (fst cur.(p)))) dis)
-              (emit len parts)
-          | _ ->
-            backoff h (h.rounds - 1);
-            settle cur
+        let cur, dis =
+          Core.settle ~budget:C.max_rounds
+            ~between:(fun k -> backoff h (k - 1))
+            h vlocs
         in
-        settle (collect h vlocs)
-      end
+        let suspects =
+          List.sort_uniq Int.compare (List.map (fun p -> fst vlocs.(p)) dis)
+        in
+        List.iter (strike t) suspects;
+        finish ~suspects:(open_ @ suspects)
+          ~failed:(List.map (fun p -> (idxs.(vpos.(p)), fst cur.(p))) dis)
+          (Core.scatter ~parts:[ (vpos, cur) ] h locs open_)
+      | _ ->
+        (* at most one validated shard beside open ones: one sub-scan of
+           each touched shard, linearizable on its own (a validated one
+           still counts as a probe) *)
+        let vals = Core.scatter h locs touched in
+        h.rounds <- 1;
+        finish vals
     end
 
   let scan h idxs =
@@ -555,9 +480,8 @@ struct
     | Degraded { values; _ } -> values
 
   let read h i =
-    let t = h.t in
-    if i < 0 || i >= t.m then invalid_arg "Resilient.read: index";
-    snd (read_pair h (Placement.locate t.place i))
+    let s, j = Placement.locate h.t.place i in
+    snd ((active h s).read j)
 
   let last_scan_collects h = h.collects
 
@@ -573,8 +497,7 @@ struct
 
   let force_open t s =
     let b = t.breakers.(s) in
-    if b.bstate <> Open then Metrics.(incr Serving.breaker_opens);
-    b.bstate <- Open;
+    move b Open;
     (* effectively never half-opens on its own: for experiments that hold
        a circuit open for a whole run *)
     b.cooldown <- max_int

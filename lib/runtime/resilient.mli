@@ -3,8 +3,8 @@
 
     [Make (M) (S) (R) (C)] supervises a {!Sharded}-style construction —
     [C.shards] instances of the primary snapshot implementation [S] over
-    memory backend [M], placed by {!Placement}, with {!Sharded}'s
-    epoch-validated double collect for cross-shard scans — and makes
+    memory backend [M], placed by {!Placement}, scanned by {!Sharded}'s
+    own validated scan ({!Sharded.Scan}) — and makes
     every operation {e bounded and honest}: an operation either completes
     with its full guarantee or returns an explicit, machine-readable
     account of what it could not guarantee.  It never retries without
@@ -13,10 +13,14 @@
     {2 Deadlines and backoff}
 
     A scan whose validated components span two or more shards repeats
-    collects — one linearizable read of each component's
-    [((epoch, nonce), v)] pair — until two consecutive ones agree on
-    every tag, at most [C.max_rounds] collects; a scan with at most one
-    validated shard is one sub-scan of it.  Between disagreeing collects
+    collects — a read of the shard pointer and one linearizable read of
+    each component's [(nonce, v)] pair — until two consecutive ones agree
+    on every tag, at most [C.max_rounds] collects.  A scan inside one
+    shard whose breaker is not open takes {!Sharded}'s single-shard fast
+    path: two collects, and one sub-scan of the shard only if they
+    disagree; it reports 2 rounds either way.  A scan with at most one
+    validated shard beside open ones is one sub-scan per touched shard.
+    Between disagreeing collects
     it backs off — bounded exponential delay with deterministic
     (pid, attempt)-derived jitter, spent as reads of a scratch cell (a
     scheduling point in the simulator, a cheap spin on real atomics).
@@ -63,9 +67,11 @@
     and the final sub-scan captures the shard's exact last state.
 
     Updates remain bounded: even with a stuck epoch cell the update
-    installs immediately — tags are [(epoch, nonce)] pairs and the nonce
-    alone makes every tag unique, so validation never mistakes a changed
-    component for an unchanged one even while epochs repeat.
+    installs immediately — its tag is its nonce, unique to it, so
+    validation never mistakes a changed component for an unchanged one
+    even while epochs repeat.  The epoch cell only detects the fault;
+    a rebuilt shard's fresh cell starts at 1, because detection compares
+    draws within one generation.
 
     All supervision events are counted in {!Psnap_sched.Metrics}
     ([serving]): rounds, retries, degraded scans, backoff steps, breaker
@@ -104,6 +110,24 @@ module type CONFIG = sig
       before aborting the heal, ≥ 1. *)
 end
 
+(** The supervision every shipped instance runs: [include] it beside
+    [shards] and [partition] to make a [CONFIG]. *)
+module Defaults : sig
+  val max_rounds : int  (** 6 *)
+
+  val backoff_base : int  (** 2 *)
+
+  val backoff_max : int  (** 16 *)
+
+  val breaker_threshold : int  (** 3 *)
+
+  val breaker_cooldown : int  (** 4 *)
+
+  val probe_successes : int  (** 2 *)
+
+  val heal_quiesce : int  (** 64 *)
+end
+
 module Make
     (M : Psnap_mem.Mem_intf.S)
     (S : Psnap_snapshot.Snapshot_intf.S)
@@ -126,9 +150,10 @@ module Make
         suspects : int list;
             (** open shards, then the shards of [failed] components *)
         failed : (int * int) list;
-            (** [(component index, last observed epoch)] for each
-                component whose tag differed between the last two
-                collects; empty when only open breakers degraded it *)
+            (** [(component index, last observed tag)] for each
+                component whose tag (its last update's nonce) differed
+                between the last two collects; empty when only open
+                breakers degraded it *)
         rounds : int;  (** as [last_scan_rounds] *)
       }
 
@@ -166,8 +191,9 @@ module Make
   (** The most recent scan's collects, its sub-scans' included. *)
 
   val last_scan_rounds : 'a handle -> int
-  (** The most recent scan's collects outside sub-scans (≤ [C.max_rounds]),
-      or 1 for a scan served by sub-scans alone. *)
+  (** The most recent scan's collects outside sub-scans (≤ [C.max_rounds];
+      2 for a single-shard scan, also after its fallback sub-scan), or 1
+      for a scan served by sub-scans alone. *)
 
   val last_scan_degraded : 'a handle -> bool
   (** Whether this handle's most recent scan returned [Degraded]. *)

@@ -7,7 +7,105 @@
    unsound (a writer suspended between its epoch bump and its data write
    masks itself) — the epoch here is installed *inside* the shard,
    atomically with the value, so one linearizable [S.read] returns data
-   and version information together. *)
+   and version information together.
+
+   The validated scan itself is [Scan], parameterised by how a component's
+   [(tag, value)] pair is read and how a shard is sub-scanned: [Make]
+   applies it to its plain shards, Resilient to its supervised ones. *)
+
+module type SOURCE = sig
+  type 'a h
+
+  val tick : 'a h -> unit
+
+  val reader : 'a h -> int * int -> int * 'a
+
+  val sub_scan : 'a h -> int -> int array -> (int * 'a) array
+end
+
+module Scan (X : SOURCE) = struct
+  (* One collect of the requested [(tag, value)] pairs, one [read] each:
+     [read] is [X.reader h], made once per scan, so each read is one call
+     of the front's own closure. *)
+  let collect h read locs =
+    X.tick h;
+    Array.map read locs
+
+  (* Typed, so each tag comparison is an integer compare, not a call to
+     the polymorphic [compare]. *)
+  let agree (a : (int * _) array) (b : (int * _) array) =
+    let rec go k = k < 0 || (fst a.(k) = fst b.(k) && go (k - 1)) in
+    go (Array.length a - 1)
+
+  (* Double collect of single-component reads: collects until two
+     consecutive ones agree on every tag or [budget] collects ran, calling
+     [between] with the collects so far before each retry; the last
+     collect, with the positions, ascending, whose tags it changed. *)
+  let settle ?(budget = max_int) ?(between = ignore) h locs =
+    let read = X.reader h in
+    let[@psnap.bounded
+         "lock-free, not wait-free: every retry is forced by an install of \
+          a fresh tag into a requested component, and [budget] caps the \
+          collects"] rec go prev n =
+      let cur = collect h read locs in
+      if agree prev cur then (cur, [])
+      else if n >= budget then
+        (cur, List.filter (fun k -> fst prev.(k) <> fst cur.(k))
+                (List.init (Array.length cur) Fun.id))
+      else begin
+        between n;
+        go cur (n + 1)
+      end
+    in
+    go (collect h read locs) 2
+
+  (* A scan inside shard [s]: one double collect, and only if an update
+     interfered, one sub-scan of the shard, which is linearizable on its
+     own and wait-free if the shard is. *)
+  let single_shard h s locs =
+    let read = X.reader h in
+    let first = collect h read locs in
+    let second = collect h read locs in
+    if agree first second then Array.map snd second
+    else begin
+      Psnap_sched.Metrics.(incr Serving.scan_fallbacks);
+      Array.map snd (X.sub_scan h s (Array.map snd locs))
+    end
+
+  (* The shards holding requested components, ascending. *)
+  let shards locs =
+    List.sort_uniq Int.compare (Array.to_list (Array.map fst locs))
+
+  (* Positions, ascending, of the requested components whose shard
+     satisfies [keep]. *)
+  let positions locs keep =
+    List.init (Array.length locs) Fun.id
+    |> List.filter (fun k -> keep (fst locs.(k)))
+    |> Array.of_list
+
+  (* One sub-scan per shard of [ss], each an atomic fragment of its own
+     shard, then the requested values: each part pairs positions with the
+     pairs read for them, [parts] first. *)
+  let scatter ?(parts = []) h locs ss =
+    let subs =
+      List.map
+        (fun s ->
+          let pos = positions locs (Int.equal s) in
+          (pos, X.sub_scan h s (Array.map (fun k -> snd locs.(k)) pos)))
+        ss
+    in
+    let parts = parts @ subs in
+    let out = Array.make (Array.length locs) (snd (snd (List.hd parts)).(0)) in
+    List.iter
+      (fun (pos, row) -> Array.iteri (fun p k -> out.(k) <- snd row.(p)) pos)
+      parts;
+    out
+
+  let count rounds =
+    Psnap_sched.Metrics.(add Serving.scan_rounds rounds);
+    if rounds > 2 then
+      Psnap_sched.Metrics.(add Serving.scan_retries (rounds - 2))
+end
 
 module type CONFIG = sig
   val shards : int
@@ -36,7 +134,6 @@ struct
                                     draws a fresh shard-unique epoch by
                                     fetch&increment *)
     place : Placement.t;  (** [min C.shards m] shards: none is empty *)
-    m : int;
   }
 
   type 'a handle = {
@@ -50,22 +147,18 @@ struct
 
   let create ~n init =
     let m = Array.length init in
-    if m = 0 then invalid_arg "Sharded.create: empty";
-    if C.shards < 1 then invalid_arg "Sharded.create: shards < 1";
     let place = Placement.make C.partition ~shards:C.shards ~m in
-    let nshards = Placement.nshards place in
     let sub =
-      Array.init nshards (fun s ->
-          S.create ~n
-            (Array.init (Placement.size place s) (fun j ->
-                 (0, init.(Placement.global place s j)))))
+      Array.map
+        (fun vs -> S.create ~n (Array.map (fun v -> (0, v)) vs))
+        (Placement.split place init)
     in
     (* drawn epochs start at 1, so they never collide with the initial 0 *)
     let epochs =
-      Array.init nshards (fun s ->
+      Array.init (Array.length sub) (fun s ->
           M.make ~name:(Printf.sprintf "shard%d.epoch" s) 1)
     in
-    { sub; epochs; place; m }
+    { sub; epochs; place }
 
   let handle t ~pid =
     {
@@ -76,73 +169,30 @@ struct
     }
 
   let update h i v =
-    let t = h.t in
-    if i < 0 || i >= t.m then invalid_arg "Sharded.update: index";
-    let s, j = Placement.locate t.place i in
-    let e = M.fetch_and_add t.epochs.(s) 1 in
+    let s, j = Placement.locate h.t.place i in
+    let e = M.fetch_and_add h.t.epochs.(s) 1 in
     S.update h.hs.(s) j (e, v)
 
-  (* [`Relaxed] mode across shards: one sub-scan per touched shard, in
-     shard order, each an atomic fragment of its own shard. *)
-  let fragments h locs =
-    let all = List.init (Array.length locs) Fun.id in
-    let out = ref [||] in
-    for s = 0 to Array.length h.t.sub - 1 do
-      match List.filter (fun k -> fst locs.(k) = s) all with
-      | [] -> ()
-      | here ->
-        let pos = Array.of_list here in
-        let vals = S.scan h.hs.(s) (Array.map (fun k -> snd locs.(k)) pos) in
-        h.collects <- h.collects + S.last_scan_collects h.hs.(s);
-        if Array.length !out = 0 then
-          out := Array.make (Array.length locs) (snd vals.(0));
-        Array.iteri (fun p k -> !out.(k) <- snd vals.(p)) pos
-    done;
-    h.rounds <- 1;
-    !out
+  (* Every collect is a round, and so is every sub-scan. *)
+  module Core = Scan (struct
+    type nonrec 'a h = 'a handle
 
-  (* One collect of the requested [(epoch, value)] pairs, one [S.read]
-     each; every collect is a round. *)
-  let collect h locs =
-    h.rounds <- h.rounds + 1;
-    Array.map (fun (s, j) -> S.read h.hs.(s) j) locs
-
-  (* Typed, so each epoch comparison is an integer compare, not a call
-     to the polymorphic [compare]. *)
-  let agree (a : (int * _) array) (b : (int * _) array) =
-    let rec go k = k < 0 || (fst a.(k) = fst b.(k) && go (k - 1)) in
-    go (Array.length a - 1)
-
-  (* Double collect of single-component reads: collects until two
-     consecutive ones agree on every epoch, then the second one's values. *)
-  let double_collect h locs =
-    let[@psnap.bounded
-         "lock-free, not wait-free: every retry is forced by an install of \
-          a fresh epoch into a requested component"] rec settle prev =
-      let cur = collect h locs in
-      if agree prev cur then Array.map snd cur else settle cur
-    in
-    let vals = settle (collect h locs) in
-    h.collects <- h.rounds;
-    vals
-
-  (* A scan inside shard [s]: one double collect, and only if an update
-     interfered, one sub-scan of the shard (a third round), which is
-     linearizable on its own and wait-free if [S] is. *)
-  let single_shard h s locs =
-    let first = collect h locs in
-    let second = collect h locs in
-    if agree first second then begin
-      h.collects <- 2;
-      Array.map snd second
-    end
-    else begin
-      Psnap_sched.Metrics.(incr Serving.scan_fallbacks);
-      let vals = S.scan h.hs.(s) (Array.map snd locs) in
+    let tick h =
       h.rounds <- h.rounds + 1;
-      h.collects <- 2 + S.last_scan_collects h.hs.(s);
-      Array.map snd vals
-    end
+      h.collects <- h.collects + 1
+
+    (* arity 1 after the [let], so [reader h] is a closure whose calls
+       go straight to [S.read] *)
+    let reader h =
+      let hs = h.hs in
+      fun (s, j) -> S.read hs.(s) j
+
+    let sub_scan h s js =
+      let vals = S.scan h.hs.(s) js in
+      h.rounds <- h.rounds + 1;
+      h.collects <- h.collects + S.last_scan_collects h.hs.(s);
+      vals
+  end)
 
   let scan h idxs =
     let t = h.t in
@@ -150,29 +200,25 @@ struct
     h.rounds <- 0;
     if Array.length idxs = 0 then [||]
     else begin
-      let locs =
-        Array.map
-          (fun i ->
-            if i < 0 || i >= t.m then invalid_arg "Sharded.scan: index";
-            Placement.locate t.place i)
-          idxs
-      in
+      let locs = Array.map (fun i -> Placement.locate t.place i) idxs in
       let s0 = fst locs.(0) in
       let out =
-        if Array.for_all (fun (s, _) -> s = s0) locs then single_shard h s0 locs
-        else if relaxed then fragments h locs
-        else double_collect h locs
+        if Array.for_all (fun (s, _) -> s = s0) locs then
+          Core.single_shard h s0 locs
+        else if relaxed then begin
+          (* one sub-scan per touched shard, no validation: one round *)
+          let vals = Core.scatter h locs (Core.shards locs) in
+          h.rounds <- 1;
+          vals
+        end
+        else Array.map snd (fst (Core.settle h locs))
       in
-      Psnap_sched.Metrics.(add Serving.scan_rounds h.rounds);
-      if h.rounds > 2 then
-        Psnap_sched.Metrics.(add Serving.scan_retries (h.rounds - 2));
+      Core.count h.rounds;
       out
     end
 
   let read h i =
-    let t = h.t in
-    if i < 0 || i >= t.m then invalid_arg "Sharded.read: index";
-    let s, j = Placement.locate t.place i in
+    let s, j = Placement.locate h.t.place i in
     snd (S.read h.hs.(s) j)
 
   let last_scan_collects h = h.collects

@@ -16,6 +16,9 @@
     size — and each shard has its own announcement structures and active
     set, so updaters only ever help scanners of their own shard.
 
+    The scan itself is {!Scan}, shared with {!Resilient}, which runs the
+    same collects, fast path and sub-scans over its supervised shards.
+
     {2 Cross-shard atomicity}
 
     Per-shard sub-scans are individually linearizable, but a multi-shard
@@ -84,6 +87,70 @@
     linearizable.  Appropriate when every scan's index set stays inside
     one shard, or when per-shard consistency is all the application
     needs (e.g. per-shard aggregation). *)
+
+(** {2 The validated scan}
+
+    The double collect above, written once for both sharded fronts:
+    [Make] applies it to its plain shards, {!Resilient} to its supervised
+    ones (a pointer read before each shard access, and a budget).  A
+    [SOURCE] says how one component's [(tag, value)] pair is read and how
+    one shard is sub-scanned; tags are integers installed at most once
+    per component. *)
+module type SOURCE = sig
+  type 'a h
+
+  val tick : 'a h -> unit
+  (** Called as each collect begins (rounds and collects accounting). *)
+
+  val reader : 'a h -> int * int -> int * 'a
+  (** [reader h (s, j)] is the pair at slot [j] of shard [s], one
+      linearizable read.  A scan applies [reader h] once and calls the
+      result for every read. *)
+
+  val sub_scan : 'a h -> int -> int array -> (int * 'a) array
+  (** [sub_scan h s js] is one partial scan of shard [s]'s slots [js]. *)
+end
+
+module Scan (X : SOURCE) : sig
+  val settle :
+    ?budget:int ->
+    ?between:(int -> unit) ->
+    'a X.h ->
+    (int * int) array ->
+    (int * 'a) array * int list
+  (** Collects until two consecutive ones carry the same tag at every
+      position or [budget] collects (default unbounded) ran, calling
+      [between k] after the [k]th collect when it retries: the last
+      collect, and the positions, ascending, whose tags differ from the
+      collect before it (empty when they agree).  Lock-free without a
+      budget. *)
+
+  val single_shard : 'a X.h -> int -> (int * int) array -> 'a array
+  (** A scan of locations all in shard [s]: two collects, and if they
+      disagree one [X.sub_scan] of [s] (counted in
+      [Metrics.Serving.scan_fallbacks]).  Wait-free if the sub-scan is. *)
+
+  val shards : (int * int) array -> int list
+  (** The shards of the locations, ascending, without repeats. *)
+
+  val positions : (int * int) array -> (int -> bool) -> int array
+  (** The positions, ascending, whose shard satisfies the predicate. *)
+
+  val scatter :
+    ?parts:(int array * (int * 'a) array) list ->
+    'a X.h ->
+    (int * int) array ->
+    int list ->
+    'a array
+  (** [scatter ~parts h locs ss] runs one [X.sub_scan] per shard of [ss]
+      over the locations it holds, and returns the values of those
+      sub-scans and of [parts] (positions paired with the pairs read for
+      them), which together cover every position. *)
+
+  val count : int -> unit
+  (** Adds a scan's rounds to [Metrics.Serving.scan_rounds], and those
+      beyond two to [scan_retries]. *)
+end
 
 module type CONFIG = sig
   val shards : int

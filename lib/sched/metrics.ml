@@ -144,10 +144,12 @@ module Serving = struct
     c "scan_rounds"
       "scan rounds: a sharded scan's collects, plus one for a single-shard \
        fallback sub-scan (1 per relaxed cross-shard scan); a resilient \
-       scan's collects (1 when served by sub-scans alone)"
+       scan's collects outside sub-scans (2 for a single-shard scan, also \
+       after its fallback; 1 when open shards leave it to sub-scans alone)"
   let scan_retries =
     c "scan_retries"
-      "rounds beyond the validating pair: a sharded fallback counts one"
+      "rounds beyond the validating pair: a sharded fallback counts one, a \
+       resilient one none"
   let scan_fallbacks =
     c "scan_fallbacks"
       "single-shard scans whose double collect disagreed and ran a sub-scan"

@@ -349,13 +349,7 @@ module RS_mc =
     (struct
       let shards = 4
       let partition = `Round_robin
-      let max_rounds = 6
-      let backoff_base = 2
-      let backoff_max = 16
-      let breaker_threshold = 3
-      let breaker_cooldown = 4
-      let probe_successes = 2
-      let heal_quiesce = 64
+      include Psnap.Runtime.Resilient.Defaults
     end)
 
 let test_snap_loadgen_smoke () =

@@ -542,44 +542,98 @@ module Sim_sharded_one =
       let mode = `Validated
     end)
 
-(* both components live in the one shard *)
-module One_pair = Explore_pair (Sim_sharded_one)
+(* The same single-shard path through the resilient layer: one shard,
+   whose breaker stays closed, running the non-blocking partial snapshot
+   (as [Sim_resilient_range2] does) to keep the interleavings few. *)
+module Sim_resilient_one =
+  Psnap_runtime.Resilient.Make (Mem.Sim) (Sim_nonblocking) (Sim_nonblocking)
+    (struct
+      let shards = 1
+      let partition = `Range
+      include Quiet_supervision
+    end)
 
 (* Every interleaving of one scan with one update, for an update of
    either component: the update lands before, inside or after the fast
-   path's double collect, so both paths are reached.  (With two updates
-   the fallback's sub-scan and the updater's helping make the space too
+   path's double collect, so both paths are reached (a scan that returned
+   after two collects took the fast path).  (With two updates the
+   fallback's sub-scan and the updater's helping make the space too
    large to enumerate; the chaos campaigns cover that concurrency.) *)
-let test_single_shard_exhaustive () =
-  let module S = Sim_sharded_one in
-  let fast = ref 0 and fallback = ref 0 and rounds = ref 0 in
-  let on_complete () = incr (if !rounds = 2 then fast else fallback) in
+let single_shard_exhaustive (module S : Snapshot.S) =
+  let module One_pair = Explore_pair (S) in
+  let fast = ref 0 and fallback = ref 0 and collects = ref 0 in
+  let on_complete () = incr (if !collects = 2 then fast else fallback) in
   List.iter
     (fun update ->
       let schedules, rejected =
         One_pair.run ~on_complete ~updates:[ update ] (fun h ->
             let vals = S.scan h [| 0; 1 |] in
-            rounds := S.last_scan_rounds h;
+            collects := S.last_scan_collects h;
             vals)
       in
       check_bool
-        (Printf.sprintf "single shard: %d interleavings explored" schedules)
+        (Printf.sprintf "%s single shard: %d interleavings explored" S.name
+           schedules)
         true (schedules >= 100);
       check_int "single shard: every interleaving linearizable" 0 rejected)
     both;
   check_bool (Printf.sprintf "fast path taken in %d" !fast) true (!fast > 0);
   check_bool
     (Printf.sprintf "sub-scan fallback taken in %d" !fallback)
-    true (!fallback > 0);
+    true (!fallback > 0)
+
+let test_single_shard_exhaustive () =
+  List.iter single_shard_exhaustive
+    [ (module Sim_sharded_one); (module Sim_resilient_one.Snap) ];
   (* the same reads without the second collect, against both updates *)
+  let module One_pair = Explore_pair (Sim_sharded_one) in
   let _, rejected =
     One_pair.run ~updates:both (fun h ->
-        let v0 = S.read h 0 in
-        [| v0; S.read h 1 |])
+        let v0 = Sim_sharded_one.read h 0 in
+        [| v0; Sim_sharded_one.read h 1 |])
   in
   check_bool
     (Printf.sprintf "single collect convicted in %d interleavings" rejected)
     true (rejected > 0)
+
+(* The single-shard accounting of the resilient layer: a quiet scan is two
+   collects and no sub-scan; an update landing between them costs one
+   fallback sub-scan, counted in [scan_fallbacks], and the scan still
+   reports its two collects as rounds, within the budget. *)
+let test_resilient_single_shard_accounting () =
+  let module S = Sim_resilient_one in
+  let run ~interfere =
+    Sim.reset_prerun_oids ();
+    let t = S.create ~n:2 [| -1; -2 |] in
+    let counts = ref (0, 0) and out = ref [||] in
+    let scanner () =
+      let h = S.handle t ~pid:0 in
+      (match S.scan_outcome h [| 0; 1 |] with
+      | S.Atomic vs -> out := vs
+      | S.Degraded _ -> Alcotest.fail "scan degraded");
+      counts := (S.last_scan_rounds h, S.last_scan_collects h)
+    in
+    let updater () = if interfere then S.update (S.handle t ~pid:1) 1 7 in
+    let fallbacks0 = Psnap_sched.Metrics.(get Serving.scan_fallbacks) in
+    (* the scan's first collect (two pointer reads, two reads), then the
+       whole update, then the rest of the scan *)
+    ignore
+      (Sim.run ~sched:(scanner_then_updater ~head:4) [| scanner; updater |]);
+    (!out, !counts, Psnap_sched.Metrics.(get Serving.scan_fallbacks) - fallbacks0)
+  in
+  let out, (rounds, collects), fallbacks = run ~interfere:false in
+  Alcotest.(check (array int)) "quiet scan" [| -1; -2 |] out;
+  check_int "quiet: last_scan_rounds" 2 rounds;
+  check_int "quiet: last_scan_collects, no sub-scan" 2 collects;
+  check_int "quiet: no fallback" 0 fallbacks;
+  let out, (rounds, collects), fallbacks = run ~interfere:true in
+  Alcotest.(check (array int)) "scan sees the update" [| -1; 7 |] out;
+  check_int "interfered: the two collects are its rounds" 2 rounds;
+  check_bool "interfered: within the budget" true
+    (rounds <= Quiet_supervision.max_rounds);
+  (* an uncontended sub-scan stops after its first two collects *)
+  check_int "interfered: last_scan_collects, 2 + the sub-scan's 2" 4 collects;
+  check_int "interfered: one fallback counted" 1 fallbacks
 
 (* Single-shard scans against a starved scanner: the updater takes many
    steps between two of the scanner's, so updates land inside the fast
@@ -861,6 +915,8 @@ let () =
             `Quick test_resilient_stuck_epoch_nonce;
           Alcotest.test_case "single-shard scan, every interleaving" `Quick
             test_single_shard_exhaustive;
+          Alcotest.test_case "resilient: single-shard fallback accounting"
+            `Quick test_resilient_single_shard_accounting;
           Alcotest.test_case "single-shard scan, starved scanner" `Quick
             test_single_shard_starved;
           Alcotest.test_case "interference costs one sub-scan" `Quick
