@@ -113,7 +113,7 @@ loadgen-smoke:
 # the same validated scan code: at the defaults its scans stay in one
 # closed shard and take the same double collect with its sub-scan
 # fallback (the target fails unless the stuck-epoch, stall and combined
-# runs fell back; at their committed seeds they fall back 42, 44 and 46
+# runs fell back; at their committed seeds they fall back 44, 29 and 33
 # times), and at -r 6 its scans cross shards and run the double collect
 # under a budget (the target fails unless those runs retried).  Every
 # Atomic scan is checked for linearizability; every budget exhaustion
@@ -193,7 +193,10 @@ chaos-runtime:
 # 0/300/600 the storm recovers 40 times and replays 69-81 updates, the
 # sweep 1687-1959), so recovery's fold demonstrably ran under power loss;
 # the late-log run demonstrates the oracle
-# actually catches committed-then-lost recovery bugs (its shrunk witness
+# actually catches committed-then-lost recovery bugs at a seed whose sweep
+# convicts (a scan must finish between an apply and its sync, which about
+# one seed in 60 reaches at this size; seed 1 did until Figure 2's getSet
+# dropped its idle CAS and the schedules shifted) (its shrunk witness
 # lands in _artifacts/; the committed reference witness lives in
 # schedules/); the loadgen run prices the WAL against plain fig3.
 chaos-durable:
@@ -224,7 +227,7 @@ chaos-durable:
 	dune exec bin/simulate.exe -- --impl durable -m 4 -r 4 --updaters 1 \
 	  --updates 3 --scanners 2 --scans 6 --power-loss sweep \
 	  --wal-mode late-log --expect-violations --shrink \
-	  --seed 1 --seeds 1 \
+	  --seed 56 --seeds 1 \
 	  --replay-file $(ARTIFACTS)/e18-durable-latelog-$(SEED).sched \
 	  --json $(ARTIFACTS)/chaos-durable-latelog-$(SEED).json
 	dune exec bin/loadgen.exe -- --impl durable -m 1024 -r 16 --domains 2 \

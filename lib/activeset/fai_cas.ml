@@ -8,9 +8,9 @@
 
     [join] is two steps (fetch&increment + write); [leave] is one step.
     [get_set] reads [C] and [H], then every slot of [I] not covered by a
-    skip interval, and finally tries once to CAS its improved interval list
-    into [C].  Theorem 2: amortized O(1) per join, O(Ċ) per leave, O(C) per
-    getSet.
+    skip interval, and finally, if it found a newly vacated slot, tries
+    once to CAS its improved interval list into [C].  Theorem 2: amortized
+    O(1) per join, O(Ċ) per leave, O(C) per getSet.
 
     Deviation from the paper's pseudocode, documented in DESIGN.md §2: the
     pseudocode initializes slots to the same value 0 that [leave] writes.  A
@@ -20,7 +20,13 @@
     (never written — joiner mid-flight, skip but do not record) from
     [Vacated] (written by leave — may enter [C]).  The amortized analysis is
     unaffected: an [Empty] slot's owner is mid-[join], so it is counted in
-    the contention C(G) of every getSet G that reads the slot. *)
+    the contention C(G) of every getSet G that reads the slot.
+
+    Second deviation, a no-op: the pseudocode's getSet always CASes [C].
+    When it found no newly vacated slot its list is the one it read, and a
+    CAS of [C] from that list to itself changes nothing whether it
+    succeeds or fails, so that CAS is skipped: an idle getSet is two
+    steps plus its slot reads. *)
 
 module Interval_set = Psnap_interval.Interval_set
 
@@ -87,8 +93,10 @@ module Make (M : Psnap_mem.Mem_intf.S) = struct
           | Occupied pid -> members := pid :: !members
           | Empty -> () (* joiner between its F&I and its write: in-flight *))
         () old_skips;
-    (* One attempt, as in the pseudocode; on failure someone else published
-       an interval list at least as fresh as [old_skips]. *)
-    ignore (M.cas t.skips ~expected:old_skips ~desired:!new_skips);
+    (* One attempt, as in the pseudocode, and only with something to add;
+       on failure someone else published an interval list at least as
+       fresh as [old_skips]. *)
+    if !new_skips != old_skips then
+      ignore (M.cas t.skips ~expected:old_skips ~desired:!new_skips);
     List.sort_uniq compare !members
 end

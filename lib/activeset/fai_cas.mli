@@ -4,7 +4,9 @@
     list of intervals of slot indices known to be permanently vacated.
 
     [join] is two steps; [leave] is one; [get_set] costs amortized O(C)
-    (Theorem 2).  See DESIGN.md §2 for the one documented deviation from
-    the pseudocode (distinguishing never-written from vacated slots). *)
+    (Theorem 2).  See DESIGN.md §2 for the two documented deviations from
+    the pseudocode: never-written slots are told apart from vacated ones,
+    and a getSet that found no newly vacated slot skips its CAS of [C],
+    which could change nothing. *)
 
 module Make (M : Psnap_mem.Mem_intf.S) : Activeset_intf.S

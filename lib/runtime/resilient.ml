@@ -20,14 +20,13 @@
      quiescence, copied by one final sub-scan, rebuilt on the replacement
      implementation [R] (hardened memory), and swapped in by CAS.
 
-   Values are stored as [(nonce, v)].  The nonce is drawn from a step-free
-   fetch&add counter, so every update's tag is unique and never reused:
-   validation is ABA-free even when a shard's epoch cell is stuck.  Each
-   update still draws from its shard's per-generation epoch cell, only to
-   detect a stuck one (a stuck fetch&add returns the same epoch twice),
-   which triggers healing.  A heal copies every tag with its value, so
-   two collects that agree across a generation swap still saw an
-   unchanged component. *)
+   Values are stored as Sharded's boxes, a fresh one per install, so
+   validation compares identities and is ABA-free even when a shard's
+   epoch cell is stuck.  Each update still draws from its shard's
+   per-generation epoch cell, only to detect a stuck one (a stuck
+   fetch&add returns the same epoch twice), which triggers healing.  A
+   heal copies every box as it is, so two collects that agree across a
+   generation swap still saw an unchanged component. *)
 
 module Metrics = Psnap_sched.Metrics
 
@@ -71,20 +70,12 @@ struct
     Printf.sprintf "resilient-%dx%s%s" C.shards S.name
       (match C.partition with `Round_robin -> "" | `Range -> "/range")
 
-  (* Nonce source: a stdlib fetch&add counter, shared by every domain, so
-     no two updates ever draw the same nonce.  It is supervisor
-     bookkeeping, not shared algorithm state: it costs no simulator step,
-     like the hardened registers' tag nonces. *)
-  let nonce_counter = Atomic.make 0
-
-  let next_nonce () = Atomic.fetch_and_add nonce_counter 1 + 1
-
   (* A shard instance as one process drives it, whichever implementation
      serves it. *)
   type 'a ops = {
-    read : int -> int * 'a;
-    update : int -> int * 'a -> unit;
-    scan : int array -> (int * 'a) array;
+    read : int -> 'a Sharded.box;
+    update : int -> 'a Sharded.box -> unit;
+    scan : int array -> 'a Sharded.box array;
     collects : unit -> int;  (** the last [scan]'s collects *)
   }
 
@@ -147,7 +138,6 @@ struct
     last_epoch : int array;  (** newest epoch drawn per shard (this handle) *)
     last_gen : int array;
     stuck_reported : bool array;  (** one heal trigger per (shard, handle) *)
-    mutable struck : int list;  (** shards struck in the current collect *)
     mutable collects : int;
     mutable rounds : int;
     mutable degraded : bool;
@@ -158,7 +148,7 @@ struct
     | Degraded of {
         values : 'a array;
         suspects : int list;
-        failed : (int * int) list;
+        failed : (int * 'a) list;
         rounds : int;
       }
 
@@ -170,7 +160,7 @@ struct
     let ptrs =
       Array.mapi
         (fun s vs ->
-          let sub = S.create ~n (Array.map (fun v -> (0, v)) vs) in
+          let sub = S.create ~n (Array.map Sharded.box vs) in
           (* drawn epochs start at 1: never collide with the initial 0 *)
           let epoch = M.make ~name:(Printf.sprintf "rshard%d.epoch" s) 1 in
           M.make
@@ -203,7 +193,6 @@ struct
       last_epoch = Array.make nshards (-1);
       last_gen = Array.make nshards 0;
       stuck_reported = Array.make nshards false;
-      struck = [];
       collects = 0;
       rounds = 0;
       degraded = false;
@@ -343,8 +332,8 @@ struct
     | Active st ->
       let e = M.fetch_and_add st.epoch 1 in
       (* Epoch draws are strictly increasing per generation unless the
-         cell stopped applying adds (Stuck_cell).  The tag is the nonce,
-         unique regardless, so we install first — the object stays
+         cell stopped applying adds (Stuck_cell).  The box is fresh
+         regardless, so we install first — the object stays
          linearizable — and trigger healing after releasing our inflight
          token (healing waits for quiescence, which includes us). *)
       let stuck = st.gen = h.last_gen.(s) && e <= h.last_epoch.(s) in
@@ -352,7 +341,7 @@ struct
         h.last_gen.(s) <- st.gen;
         h.last_epoch.(s) <- e
       end;
-      (handle_for h s st).update j (next_nonce (), v);
+      (handle_for h s st).update j (Sharded.box v);
       ignore (M.fetch_and_add t.inflight.(s) (-1));
       if stuck then begin
         Metrics.(incr Serving.stuck_epochs);
@@ -394,23 +383,38 @@ struct
      surfaced them, at most one strike per shard per collect — a heuristic
      (other processes run concurrently), but fault-saturated shards
      dominate the deltas they sit on.  A read is the active instance's
-     own linearizable read, after one read of the shard pointer. *)
+     own linearizable read.  A collect reads each touched shard's pointer
+     once, at its first read of that shard, and reads the shard's other
+     components from the instance it resolved: every read of a collect
+     still resolves the pointer after the previous collect ended, which
+     is all the double collect needs (docs/MODEL.md §11). *)
   module Core = Sharded.Scan (struct
     type nonrec 'a h = 'a handle
 
-    let tick h =
+    let reader h =
       h.rounds <- h.rounds + 1;
       h.collects <- h.collects + 1;
-      h.struck <- []
-
-    let reader h (s, j) =
-      let ev0 = hardened_evidence () in
-      let pair = (active h s).read j in
-      if hardened_evidence () > ev0 && not (List.mem s h.struck) then begin
-        h.struck <- s :: h.struck;
-        strike h.t s
-      end;
-      pair
+      let resolved = Array.make (Array.length h.t.ptrs) None in
+      let[@psnap.local_state
+           "shards struck in this collect, private to its reads"] struck =
+        ref []
+      in
+      fun (s, j) ->
+        let ev0 = hardened_evidence () in
+        let o =
+          match resolved.(s) with
+          | Some o -> o
+          | None ->
+            let o = active h s in
+            resolved.(s) <- Some o;
+            o
+        in
+        let b = o.read j in
+        if hardened_evidence () > ev0 && not (List.mem s !struck) then begin
+          struck := s :: !struck;
+          strike h.t s
+        end;
+        b
 
     let sub_scan h s js =
       let ev0 = hardened_evidence () in
@@ -463,7 +467,7 @@ struct
         in
         List.iter (strike t) suspects;
         finish ~suspects:(open_ @ suspects)
-          ~failed:(List.map (fun p -> (idxs.(vpos.(p)), fst cur.(p))) dis)
+          ~failed:(List.map (fun p -> (idxs.(vpos.(p)), cur.(p).v)) dis)
           (Core.scatter ~parts:[ (vpos, cur) ] h locs open_)
       | _ ->
         (* at most one validated shard beside open ones: one sub-scan of
@@ -481,7 +485,7 @@ struct
 
   let read h i =
     let s, j = Placement.locate h.t.place i in
-    snd ((active h s).read j)
+    ((active h s).read j).v
 
   let last_scan_collects h = h.collects
 

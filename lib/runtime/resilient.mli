@@ -13,9 +13,10 @@
     {2 Deadlines and backoff}
 
     A scan whose validated components span two or more shards repeats
-    collects — a read of the shard pointer and one linearizable read of
-    each component's [(nonce, v)] pair — until two consecutive ones agree
-    on every tag, at most [C.max_rounds] collects.  A scan inside one
+    collects — one read of each touched shard's pointer and one
+    linearizable read of each component's box ({!Sharded.box}) — until
+    two consecutive ones hold the same boxes, at most [C.max_rounds]
+    collects.  A scan inside one
     shard whose breaker is not open takes {!Sharded}'s single-shard fast
     path: two collects, and one sub-scan of the shard only if they
     disagree; it reports 2 rounds either way.  A scan with at most one
@@ -54,7 +55,7 @@
     [R] (typically hardened, replicated memory) with a fresh epoch cell,
     and CASes the new instance in with a bumped generation.  Handles
     re-resolve their per-shard sub-handles by generation, so the swap is
-    transparent, and tags are copied with their values, so collects that
+    transparent, and boxes are copied as they are, so collects that
     agree across the swap saw unchanged components.  If quiescence is
     never reached (e.g. an updater crashed
     inside its window) the heal {e aborts} and restores the old instance:
@@ -67,9 +68,9 @@
     and the final sub-scan captures the shard's exact last state.
 
     Updates remain bounded: even with a stuck epoch cell the update
-    installs immediately — its tag is its nonce, unique to it, so
-    validation never mistakes a changed component for an unchanged one
-    even while epochs repeat.  The epoch cell only detects the fault;
+    installs immediately — its box is fresh, so validation never
+    mistakes a changed component for an unchanged one even while epochs
+    repeat.  The epoch cell only detects the fault;
     a rebuilt shard's fresh cell starts at 1, because detection compares
     draws within one generation.
 
@@ -149,20 +150,14 @@ module Make
                 shard, but the whole is NOT guaranteed to be a snapshot *)
         suspects : int list;
             (** open shards, then the shards of [failed] components *)
-        failed : (int * int) list;
-            (** [(component index, last observed tag)] for each
-                component whose tag (its last update's nonce) differed
-                between the last two collects; empty when only open
-                breakers degraded it *)
+        failed : (int * 'a) list;
+            (** [(component index, last observed value)] for each
+                component whose box differed between the last two
+                collects; empty when only open breakers degraded it *)
         rounds : int;  (** as [last_scan_rounds] *)
       }
 
   val name : string
-
-  val next_nonce : unit -> int
-  (** The next tag nonce.  One fetch&add counter per application of
-      [Make], shared by every domain: no two calls return the same
-      nonce.  It takes no simulator step. *)
 
   val create : n:int -> 'a array -> 'a t
 

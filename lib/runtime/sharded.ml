@@ -1,75 +1,76 @@
 (* Sharded partial snapshot: partition m components across independent
-   snapshot instances, with epoch-validated double-collect scans (inside
-   one shard, a fallback to one sub-scan keeps them wait-free).
+   snapshot instances, with double-collect scans validated by the
+   identity of what each component holds (inside one shard, a fallback
+   to one sub-scan keeps them wait-free).
 
    See sharded.mli for the atomicity argument and docs/MODEL.md §10 for
    why a separate per-shard epoch *cell* read around the reads would be
    unsound (a writer suspended between its epoch bump and its data write
-   masks itself) — the epoch here is installed *inside* the shard,
-   atomically with the value, so one linearizable [S.read] returns data
-   and version information together.
+   masks itself) — the version here is the stored box itself, installed
+   *inside* the shard by the update's one [S.update], so one
+   linearizable [S.read] returns data and version together.
 
-   The validated scan itself is [Scan], parameterised by how a component's
-   [(tag, value)] pair is read and how a shard is sub-scanned: [Make]
+   The validated scan itself is [Scan], parameterised by how a
+   component's box is read and how a shard is sub-scanned: [Make]
    applies it to its plain shards, Resilient to its supervised ones. *)
+
+type 'a box = { v : 'a }
+
+(* [Sys.opaque_identity] keeps an optimising compiler from sharing one
+   static box between installs of the same constant. *)
+let box v = { v = Sys.opaque_identity v }
 
 module type SOURCE = sig
   type 'a h
 
-  val tick : 'a h -> unit
+  val reader : 'a h -> int * int -> 'a box
 
-  val reader : 'a h -> int * int -> int * 'a
-
-  val sub_scan : 'a h -> int -> int array -> (int * 'a) array
+  val sub_scan : 'a h -> int -> int array -> 'a box array
 end
 
 module Scan (X : SOURCE) = struct
-  (* One collect of the requested [(tag, value)] pairs, one [read] each:
-     [read] is [X.reader h], made once per scan, so each read is one call
-     of the front's own closure. *)
-  let collect h read locs =
-    X.tick h;
-    Array.map read locs
+  (* One collect of the requested boxes, one read each through
+     [X.reader h], which is made as the collect begins. *)
+  let collect h locs = Array.map (X.reader h) locs
 
-  (* Typed, so each tag comparison is an integer compare, not a call to
-     the polymorphic [compare]. *)
-  let agree (a : (int * _) array) (b : (int * _) array) =
-    let rec go k = k < 0 || (fst a.(k) = fst b.(k) && go (k - 1)) in
+  (* Agreement is identity: every install stores a fresh box. *)
+  let agree (a : _ box array) b =
+    let rec go k = k < 0 || (a.(k) == b.(k) && go (k - 1)) in
     go (Array.length a - 1)
 
+  let values bs = Array.map (fun b -> b.v) bs
+
   (* Double collect of single-component reads: collects until two
-     consecutive ones agree on every tag or [budget] collects ran, calling
+     consecutive ones agree on every box or [budget] collects ran, calling
      [between] with the collects so far before each retry; the last
-     collect, with the positions, ascending, whose tags it changed. *)
+     collect, with the positions, ascending, whose boxes it changed. *)
   let settle ?(budget = max_int) ?(between = ignore) h locs =
-    let read = X.reader h in
     let[@psnap.bounded
          "lock-free, not wait-free: every retry is forced by an install of \
-          a fresh tag into a requested component, and [budget] caps the \
+          a fresh box into a requested component, and [budget] caps the \
           collects"] rec go prev n =
-      let cur = collect h read locs in
+      let cur = collect h locs in
       if agree prev cur then (cur, [])
       else if n >= budget then
-        (cur, List.filter (fun k -> fst prev.(k) <> fst cur.(k))
+        (cur, List.filter (fun k -> prev.(k) != cur.(k))
                 (List.init (Array.length cur) Fun.id))
       else begin
         between n;
         go cur (n + 1)
       end
     in
-    go (collect h read locs) 2
+    go (collect h locs) 2
 
   (* A scan inside shard [s]: one double collect, and only if an update
      interfered, one sub-scan of the shard, which is linearizable on its
      own and wait-free if the shard is. *)
   let single_shard h s locs =
-    let read = X.reader h in
-    let first = collect h read locs in
-    let second = collect h read locs in
-    if agree first second then Array.map snd second
+    let first = collect h locs in
+    let second = collect h locs in
+    if agree first second then values second
     else begin
       Psnap_sched.Metrics.(incr Serving.scan_fallbacks);
-      Array.map snd (X.sub_scan h s (Array.map snd locs))
+      values (X.sub_scan h s (Array.map snd locs))
     end
 
   (* The shards holding requested components, ascending. *)
@@ -85,7 +86,7 @@ module Scan (X : SOURCE) = struct
 
   (* One sub-scan per shard of [ss], each an atomic fragment of its own
      shard, then the requested values: each part pairs positions with the
-     pairs read for them, [parts] first. *)
+     boxes read for them, [parts] first. *)
   let scatter ?(parts = []) h locs ss =
     let subs =
       List.map
@@ -95,9 +96,9 @@ module Scan (X : SOURCE) = struct
         ss
     in
     let parts = parts @ subs in
-    let out = Array.make (Array.length locs) (snd (snd (List.hd parts)).(0)) in
+    let out = Array.make (Array.length locs) (snd (List.hd parts)).(0).v in
     List.iter
-      (fun (pos, row) -> Array.iteri (fun p k -> out.(k) <- snd row.(p)) pos)
+      (fun (pos, row) -> Array.iteri (fun p k -> out.(k) <- row.(p).v) pos)
       parts;
     out
 
@@ -128,17 +129,14 @@ struct
       (if relaxed then "/relaxed" else "")
 
   type 'a t = {
-    sub : (int * 'a) S.t array;  (** per-shard instances storing
-                                     (epoch, value) pairs *)
-    epochs : int M.ref_ array;  (** per-shard epoch source: every update
-                                    draws a fresh shard-unique epoch by
-                                    fetch&increment *)
+    sub : 'a box S.t array;  (** per-shard instances storing boxes, a
+                                 fresh one per install *)
     place : Placement.t;  (** [min C.shards m] shards: none is empty *)
   }
 
   type 'a handle = {
     t : 'a t;
-    hs : (int * 'a) S.handle array;
+    hs : 'a box S.handle array;
     mutable collects : int;
     mutable rounds : int;  (** rounds of the most recent scan: 1 for a
                                relaxed cross-shard scan, else its collects
@@ -150,15 +148,10 @@ struct
     let place = Placement.make C.partition ~shards:C.shards ~m in
     let sub =
       Array.map
-        (fun vs -> S.create ~n (Array.map (fun v -> (0, v)) vs))
+        (fun vs -> S.create ~n (Array.map box vs))
         (Placement.split place init)
     in
-    (* drawn epochs start at 1, so they never collide with the initial 0 *)
-    let epochs =
-      Array.init (Array.length sub) (fun s ->
-          M.make ~name:(Printf.sprintf "shard%d.epoch" s) 1)
-    in
-    { sub; epochs; place }
+    { sub; place }
 
   let handle t ~pid =
     {
@@ -170,20 +163,17 @@ struct
 
   let update h i v =
     let s, j = Placement.locate h.t.place i in
-    let e = M.fetch_and_add h.t.epochs.(s) 1 in
-    S.update h.hs.(s) j (e, v)
+    S.update h.hs.(s) j (box v)
 
   (* Every collect is a round, and so is every sub-scan. *)
   module Core = Scan (struct
     type nonrec 'a h = 'a handle
 
-    let tick h =
-      h.rounds <- h.rounds + 1;
-      h.collects <- h.collects + 1
-
     (* arity 1 after the [let], so [reader h] is a closure whose calls
        go straight to [S.read] *)
     let reader h =
+      h.rounds <- h.rounds + 1;
+      h.collects <- h.collects + 1;
       let hs = h.hs in
       fun (s, j) -> S.read hs.(s) j
 
@@ -211,7 +201,7 @@ struct
           h.rounds <- 1;
           vals
         end
-        else Array.map snd (fst (Core.settle h locs))
+        else Core.values (fst (Core.settle h locs))
       in
       Core.count h.rounds;
       out
@@ -219,7 +209,7 @@ struct
 
   let read h i =
     let s, j = Placement.locate h.t.place i in
-    snd (S.read h.hs.(s) j)
+    (S.read h.hs.(s) j).v
 
   let last_scan_collects h = h.collects
 

@@ -24,33 +24,41 @@
     Per-shard sub-scans are individually linearizable, but a multi-shard
     scan could otherwise observe shard A before an update [u_A] and shard
     B after a later update [u_B] — a cut no single linearization point
-    explains.  [`Validated] mode closes this with an epoch-validated
-    double collect of single-component reads (the Afek et al. baseline
-    of the paper's Section 3):
+    explains.  [`Validated] mode closes this with a double collect of
+    single-component reads (the Afek et al. baseline of the paper's
+    Section 3), validated by the identity of what each component holds:
 
-    - every shard carries an epoch source, bumped with a wait-free
-      fetch&increment by each update, and the update installs the pair
-      [(epoch, value)] into its shard {e atomically} (it is one [S.update]
-      of the pair);
-    - a scan collects the requested components' pairs with one [S.read]
+    - every update allocates a fresh {!box} for its value and installs it
+      into its shard with one [S.update], so value and version change
+      {e atomically};
+    - a scan collects the requested components' boxes with one [S.read]
       each, and repeats collects until two {e consecutive} ones return
-      identical epochs for every requested component, then returns the
-      second one's values.
+      physically equal ([==]) boxes for every requested component, then
+      returns the second one's values.
 
     The argument:
     - each [S.read] is linearizable;
-    - each epoch is installed at most once per component (epochs are
-      unique per shard, and a component never returns to an old pair);
+    - each box is installed at most once (every install allocates a new
+      one, so a component never returns to a box it held before);
+    - the scan holds every box of its first collect until its second
+      collect compares it, so the garbage collector cannot reuse that
+      address for a later install: [==] in the second collect means that
+      no install into that component happened in between;
     - every read of the first collect precedes every read of the second;
     - so, when the two collects agree, each requested component held the
-      same pair from its read in the first collect to its read in the
+      same box from its read in the first collect to its read in the
       second, an interval containing the instant between the two
       collects, and the scan linearizes there.
+
+    Identity also survives the simulator's memory faults: a [Corrupt]
+    fault serves a garbled {e copy} of a stored block, which is never
+    [==] to a box read before, where a flipped integer tag could have
+    matched an older one.
 
     The same argument holds for any two consecutive collects, so a scan
     inside one shard uses it too: a scan of [r] components costs [2r]
     reads when no update interferes — no announcement, no active-set
-    join, nothing for the shards' updaters to help.  Storing the epoch
+    join, nothing for the shards' updaters to help.  Storing the version
     {e inside} the shard is essential: an epoch in a separate register,
     bumped before or after the data write, lets a slow writer place its
     write inside the scan's validation window undetected
@@ -58,7 +66,7 @@
 
     {2 Liveness}
 
-    Updates stay wait-free (one fetch&increment plus one [S.update]).
+    Updates are one [S.update], so they are wait-free if [S]'s are.
 
     A scan whose components all live in one shard is {e wait-free} if [S]
     is: its double collect runs once, and if the two collects disagree
@@ -74,7 +82,7 @@
     costs one more collect and happens only when a requested component
     actually changed between two collects, so someone else completed an
     update — and a crashed updater cannot wedge the loop, because an
-    interrupted update either installed its epoch or never will.
+    interrupted update either installed its box or never will.
 
     {2 Relaxed mode}
 
@@ -92,22 +100,27 @@
 
     The double collect above, written once for both sharded fronts:
     [Make] applies it to its plain shards, {!Resilient} to its supervised
-    ones (a pointer read before each shard access, and a budget).  A
-    [SOURCE] says how one component's [(tag, value)] pair is read and how
-    one shard is sub-scanned; tags are integers installed at most once
-    per component. *)
+    ones (a pointer read per shard per collect, and a budget).  A
+    [SOURCE] says how one component's box is read and how one shard is
+    sub-scanned. *)
+
+type 'a box = private { v : 'a }
+(** What a shard stores for a component: its value, in a block allocated
+    by the install that stored it, so its identity is the version. *)
+
+val box : 'a -> 'a box
+(** A fresh box: never physically equal to any other. *)
+
 module type SOURCE = sig
   type 'a h
 
-  val tick : 'a h -> unit
-  (** Called as each collect begins (rounds and collects accounting). *)
+  val reader : 'a h -> int * int -> 'a box
+  (** [reader h] is called as each collect begins (rounds and collects
+      accounting), and the collect calls the result for each of its
+      reads: [reader h (s, j)] is the box at slot [j] of shard [s], one
+      linearizable read. *)
 
-  val reader : 'a h -> int * int -> int * 'a
-  (** [reader h (s, j)] is the pair at slot [j] of shard [s], one
-      linearizable read.  A scan applies [reader h] once and calls the
-      result for every read. *)
-
-  val sub_scan : 'a h -> int -> int array -> (int * 'a) array
+  val sub_scan : 'a h -> int -> int array -> 'a box array
   (** [sub_scan h s js] is one partial scan of shard [s]'s slots [js]. *)
 end
 
@@ -117,11 +130,11 @@ module Scan (X : SOURCE) : sig
     ?between:(int -> unit) ->
     'a X.h ->
     (int * int) array ->
-    (int * 'a) array * int list
-  (** Collects until two consecutive ones carry the same tag at every
+    'a box array * int list
+  (** Collects until two consecutive ones hold the same box at every
       position or [budget] collects (default unbounded) ran, calling
       [between k] after the [k]th collect when it retries: the last
-      collect, and the positions, ascending, whose tags differ from the
+      collect, and the positions, ascending, whose boxes differ from the
       collect before it (empty when they agree).  Lock-free without a
       budget. *)
 
@@ -137,14 +150,14 @@ module Scan (X : SOURCE) : sig
   (** The positions, ascending, whose shard satisfies the predicate. *)
 
   val scatter :
-    ?parts:(int array * (int * 'a) array) list ->
+    ?parts:(int array * 'a box array) list ->
     'a X.h ->
     (int * int) array ->
     int list ->
     'a array
   (** [scatter ~parts h locs ss] runs one [X.sub_scan] per shard of [ss]
       over the locations it holds, and returns the values of those
-      sub-scans and of [parts] (positions paired with the pairs read for
+      sub-scans and of [parts] (positions paired with the boxes read for
       them), which together cover every position. *)
 
   val count : int -> unit

@@ -627,19 +627,15 @@ let stall_cells ~matches ~from_clock ~until_clock inner =
   { name = inner.name ^ "+stall-cells"; pick }
 
 (** [stall_shard ~shard] — {!stall_cells} matching the spine cells of
-    shard [shard] in both serving-layer constructions: ["shard<k>."]
-    ([Psnap_runtime.Sharded]'s epoch source) and ["rshard<k>."]
+    shard [shard] in the resilient serving layer: ["rshard<k>."]
     ([Psnap_runtime.Resilient]'s pointer / epoch / inflight cells).  Every
     update routed to the shard and every sub-scan of it must cross one of
     these cells, so the whole shard stalls; scans of other shards keep
     running — exactly the partial-outage a circuit breaker must contain. *)
 let stall_shard ~shard ~from_clock ~until_clock inner =
-  let p1 = Printf.sprintf "shard%d." shard in
-  let p2 = Printf.sprintf "rshard%d." shard in
-  stall_cells
-    ~matches:(fun n ->
-      String.starts_with ~prefix:p1 n || String.starts_with ~prefix:p2 n)
-    ~from_clock ~until_clock inner
+  let prefix = Printf.sprintf "rshard%d." shard in
+  stall_cells ~matches:(String.starts_with ~prefix) ~from_clock ~until_clock
+    inner
 
 (** [slow_domain ~pid ~period inner] rate-limits [pid]: whenever [inner]
     elects it outside its every-[period]-th decision slot, a different

@@ -243,10 +243,10 @@ val mem_fault_on_cell :
 val stall_cells :
   matches:(string -> bool) -> from_clock:int -> until_clock:int -> t -> t
 
-(** {!stall_cells} over the spine cells of serving-layer shard [shard]
-    (name prefixes ["shard<k>."] and ["rshard<k>."]): the whole shard
-    stalls — updates and sub-scans targeting it stay pending — while other
-    shards keep running. *)
+(** {!stall_cells} over the spine cells of resilient serving-layer shard
+    [shard] (name prefix ["rshard<k>."]): the whole shard stalls — updates
+    and sub-scans targeting it stay pending — while other shards keep
+    running. *)
 val stall_shard : shard:int -> from_clock:int -> until_clock:int -> t -> t
 
 (** Rate-limits [pid] to (at most) every [period]-th (default 8) decision:

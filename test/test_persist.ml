@@ -566,7 +566,7 @@ let test_sim_cell_names () =
   List.iter
     (fun n ->
       check_bool (n ^ " in the sharded trace") true (List.mem n names))
-    [ "R[0]"; "R[1]"; "shard0.epoch"; "shard3.epoch" ]
+    [ "R[0]"; "R[1]"; "H"; "C" ]
 
 (* ---- what a checkpoint seals ----
 

@@ -329,12 +329,13 @@ module Sim_resilient_range2 =
       include Quiet_supervision
     end)
 
-(* pid 0 applies [updates] in order; pid 1 reads components 0 and 1
-   with [scan_of].  [run] returns the interleavings explored and how many
-   of them the exact checker rejected, and calls [on_complete] after each
+(* pid 0 applies [updates] in order, then, with [read_back], reads each
+   updated component once; pid 1 reads components 0 and 1 with
+   [scan_of].  [run] returns the interleavings explored and how many of
+   them the exact checker rejected, and calls [on_complete] after each
    complete execution (prefix replays are not complete executions). *)
 module Explore_pair (S : Snapshot.S) = struct
-  let run ?(on_complete = ignore) ~updates scan_of =
+  let run ?(on_complete = ignore) ?(read_back = false) ~updates scan_of =
     let init = [| -1; -2 |] in
     let schedules = ref 0 and rejected = ref 0 in
     let make () =
@@ -350,7 +351,14 @@ module Explore_pair (S : Snapshot.S) = struct
                  (fun () ->
                    S.update h i v;
                    Snapshot_spec.Ack)))
-          updates
+          updates;
+        if read_back then
+          List.iter
+            (fun (i, _) ->
+              ignore
+                (History.record hist ~pid:0 (Snapshot_spec.Scan [| i |])
+                   (fun () -> Snapshot_spec.Vals [| S.read h i |])))
+            updates
       in
       let scanner () =
         let h = S.handle t ~pid:1 in
@@ -482,8 +490,8 @@ let test_resilient_accounting () =
   check_int "interfered: last_scan_collects, no sub-scan" 3 collects;
   check_int "interfered: one retry counted" 1 retries
 
-(* With its epoch cell stuck, shard 1 tags two updates of component 1
-   with the same epoch; only the nonce tells them apart.  The scanner
+(* With its epoch cell stuck, shard 1 draws the same epoch for two
+   updates of component 1; only their boxes tell them apart.  The scanner
    (pid 0) takes its first collect and the first read of its second,
    then the updater (pid 1) sets component 0 and then component 1, then
    the scanner reads component 1 again.  Accepting that on epochs alone
@@ -553,12 +561,13 @@ module Sim_resilient_one =
       include Quiet_supervision
     end)
 
-(* Every interleaving of one scan with one update, for an update of
-   either component: the update lands before, inside or after the fast
-   path's double collect, so both paths are reached (a scan that returned
-   after two collects took the fast path).  (With two updates the
-   fallback's sub-scan and the updater's helping make the space too
-   large to enumerate; the chaos campaigns cover that concurrency.) *)
+(* Every interleaving of one scan with one update and the updater's read
+   of the component it set, for an update of either component: the
+   update lands before, inside or after the fast path's double collect,
+   so both paths are reached (a scan that returned after two collects
+   took the fast path).  (With two updates the fallback's sub-scan and
+   the updater's helping make the space too large to enumerate; the
+   chaos campaigns cover that concurrency.) *)
 let single_shard_exhaustive (module S : Snapshot.S) =
   let module One_pair = Explore_pair (S) in
   let fast = ref 0 and fallback = ref 0 and collects = ref 0 in
@@ -566,7 +575,7 @@ let single_shard_exhaustive (module S : Snapshot.S) =
   List.iter
     (fun update ->
       let schedules, rejected =
-        One_pair.run ~on_complete ~updates:[ update ] (fun h ->
+        One_pair.run ~on_complete ~read_back:true ~updates:[ update ] (fun h ->
             let vals = S.scan h [| 0; 1 |] in
             collects := S.last_scan_collects h;
             vals)
@@ -615,10 +624,10 @@ let test_resilient_single_shard_accounting () =
     in
     let updater () = if interfere then S.update (S.handle t ~pid:1) 1 7 in
     let fallbacks0 = Psnap_sched.Metrics.(get Serving.scan_fallbacks) in
-    (* the scan's first collect (two pointer reads, two reads), then the
+    (* the scan's first collect (one pointer read, two reads), then the
        whole update, then the rest of the scan *)
     ignore
-      (Sim.run ~sched:(scanner_then_updater ~head:4) [| scanner; updater |]);
+      (Sim.run ~sched:(scanner_then_updater ~head:3) [| scanner; updater |]);
     (!out, !counts, Psnap_sched.Metrics.(get Serving.scan_fallbacks) - fallbacks0)
   in
   let out, (rounds, collects), fallbacks = run ~interfere:false in
