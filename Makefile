@@ -191,14 +191,14 @@ chaos-runtime:
 # sweep does).  It also fails unless the storm rebuilt from the log at
 # least once and both runs replayed a non-empty update suffix (at seeds
 # 0/300/600 the storm recovers 40 times and replays 69-81 updates, the
-# sweep 1687-1959), so recovery's fold demonstrably ran under power loss;
-# the late-log run demonstrates the oracle
-# actually catches committed-then-lost recovery bugs at a seed whose sweep
-# convicts (a scan must finish between an apply and its sync, which about
-# one seed in 60 reaches at this size; seed 1 did until Figure 2's getSet
-# dropped its idle CAS and the schedules shifted) (its shrunk witness
-# lands in _artifacts/; the committed reference witness lives in
-# schedules/); the loadgen run prices the WAL against plain fig3.
+# sweep 1687-1959), so recovery's fold demonstrably ran under power loss.
+# The committed witness schedules/e18-durable-latelog.sched then replays
+# both ways on test_campaign's e18 workload: late-log mode must be
+# convicted of losing an acknowledged update, and write-ahead mode must be
+# clean on the identical schedule.  A replay fixes every decision, so the
+# demonstration does not depend on a seed that happens to reach the window
+# between an apply and its sync.  The loadgen run prices the WAL against
+# plain fig3.
 chaos-durable:
 	dune build bin/simulate.exe bin/loadgen.exe
 	mkdir -p $(ARTIFACTS)
@@ -225,11 +225,13 @@ chaos-durable:
 	    else 'sweep or storm replayed no update: recovery never ran a suffix' \
 	      if min(sw['replayed_updates'], st['replayed_updates']) == 0 else 0)"
 	dune exec bin/simulate.exe -- --impl durable -m 4 -r 4 --updaters 1 \
-	  --updates 3 --scanners 2 --scans 6 --power-loss sweep \
-	  --wal-mode late-log --expect-violations --shrink \
-	  --seed 56 --seeds 1 \
-	  --replay-file $(ARTIFACTS)/e18-durable-latelog-$(SEED).sched \
-	  --json $(ARTIFACTS)/chaos-durable-latelog-$(SEED).json
+	  --updates 3 --scanners 2 --scans 6 --wal-mode late-log \
+	  --expect-violations --replay-file schedules/e18-durable-latelog.sched \
+	  --json $(ARTIFACTS)/chaos-durable-latelog-witness.json
+	dune exec bin/simulate.exe -- --impl durable -m 4 -r 4 --updaters 1 \
+	  --updates 3 --scanners 2 --scans 6 --wal-mode write-ahead \
+	  --replay-file schedules/e18-durable-latelog.sched \
+	  --json $(ARTIFACTS)/chaos-durable-writeahead-witness.json
 	dune exec bin/loadgen.exe -- --impl durable -m 1024 -r 16 --domains 2 \
 	  --mix 1u+1s --scan window --duration 500ms --warmup 0.1s --seed 42 \
 	  --json $(ARTIFACTS)/loadgen-durable.json
@@ -334,25 +336,19 @@ chaos-reconfig:
 # Every chaos campaign back to back, consolidated into one summary: each
 # campaign's JSON artifacts are embedded under their basename so a single
 # file answers "did anything break tonight, and under which nemesis".
+# Each artifact is parsed, so an empty or truncated one fails the target
+# instead of yielding an invalid summary.
 chaos-all: chaos chaos-mem chaos-runtime chaos-durable chaos-net chaos-txn chaos-reconfig
-	{ echo '{'; \
-	  first=1; \
-	  for f in $$(ls $(ARTIFACTS)/chaos-*.json $(ARTIFACTS)/loadgen-reconfig.json 2>/dev/null | sort); do \
-	    case "$$f" in */chaos-summary.json) continue ;; esac; \
-	    name=$$(basename $$f .json); \
-	    if [ $$first -eq 1 ]; then first=0; else echo ','; fi; \
-	    printf '  "%s": ' "$$name"; cat $$f; \
-	  done; \
-	  echo '}'; } > $(ARTIFACTS)/chaos-summary.json
+	python3 -c "import glob, json, os; \
+	  fs = sorted(f for f in glob.glob('$(ARTIFACTS)/chaos-*.json') \
+	              + glob.glob('$(ARTIFACTS)/loadgen-reconfig.json') \
+	              if os.path.basename(f) != 'chaos-summary.json'); \
+	  s = {os.path.basename(f)[:-len('.json')]: json.load(open(f)) for f in fs}; \
+	  json.dump(s, open('$(ARTIFACTS)/chaos-summary.json', 'w'), indent=2)"
 	@echo "consolidated summary: $(ARTIFACTS)/chaos-summary.json"
-
-# The artifacts referenced by EXPERIMENTS.md.
-pin-outputs:
-	dune runtest --force --no-buffer 2>&1 | tee test_output.txt
-	dune exec bench/main.exe 2>&1 | tee bench_output.txt
 
 clean:
 	dune clean
 	rm -rf $(ARTIFACTS)
 
-.PHONY: all test lint race bench chaos chaos-mem chaos-runtime chaos-durable chaos-net chaos-txn chaos-reconfig chaos-all loadgen-smoke examples pin-outputs clean
+.PHONY: all test lint race bench chaos chaos-mem chaos-runtime chaos-durable chaos-net chaos-txn chaos-reconfig chaos-all loadgen-smoke examples clean

@@ -41,16 +41,10 @@ let bechamel_tests () =
     Test.make ~name:(Printf.sprintf "%s/scan r=m=%d" name m)
       (Staged.stage (fun () -> ignore (S.scan h all)))
   in
-  let impls : (string * (module Snapshot.S)) list =
-    [
-      ("afek", (module Mc_afek));
-      ("fig1", (module Mc_fig1));
-      ("fig3", (module Mc_fig3));
-      ("farray", (module Mc_farray));
-    ]
-  in
+  (* the two figures and the two baselines they are priced against *)
+  let impls = select [ "afek"; "fig1"; "fig3"; "farray" ] On_mc.snapshots in
   (* the restricted single-writer/single-scanner object (related work) *)
-  let module SS = Psnap.Snapshot.Single_scanner (Psnap.Mem.Atomic) in
+  let module SS = On_mc.Single_scanner in
   let ss_tests =
     let t =
       SS.create ~owner:(Array.make m 0) ~scanner:0 (Array.init m (fun i -> i))

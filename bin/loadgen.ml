@@ -16,13 +16,8 @@ module Table = Psnap_harness.Table
 module Loadgen = Psnap_runtime.Loadgen
 module Histogram = Psnap_runtime.Histogram
 
-let flat_impls : (string * (module Snapshot.S)) list =
-  [
-    ("fig1", (module Mc_fig1));
-    ("fig3", (module Mc_fig3));
-    ("afek", (module Mc_afek));
-    ("farray", (module Mc_farray));
-  ]
+(* The two figures and the two baselines they are priced against. *)
+let flat_impls = select [ "fig1"; "fig3"; "afek"; "farray" ] On_mc.snapshots
 
 let impl_names =
   List.map fst flat_impls

@@ -23,20 +23,19 @@ open Psnap
 open Psnap_harness
 
 let impls : (string * (module Snapshot.S)) list =
-  [
-    ("afek", (module Sim_afek));
-    ("fig1", (module Sim_fig1));
-    ("fig1-adaptive", (module Sim_fig1_adaptive));
-    ("fig1-small", (module Sim_fig1_small));
-    ("fig3", (module Sim_fig3));
-    ("fig3-small", (module Sim_fig3_small));
-    ("fig3-bounded-aset", (module Sim_fig3_bounded_aset));
-    ("farray", (module Sim_farray));
-    ("nonblocking", (module Sim_nonblocking));
-    ("fig1-hardened", (module Sim_fig1_hardened));
-    ("fig3-hardened", (module Sim_fig3_hardened));
-    ("fig3-selfcheck", (module Sim_fig3_selfcheck));
-  ]
+  On_sim.snapshots
+  @ [
+      ("fig1-hardened", (module On_replicated.Fig1));
+      ("fig3-hardened", (module On_replicated.Fig3));
+      ("fig3-selfcheck", (module On_selfcheck.Fig3));
+    ]
+
+(* --mem net: one row per construction (Figure 3, Figure 1, the full
+   snapshot, the helping-free baseline); every base-object access is a
+   quorum operation of many simulator steps, so the variants would add run
+   time, not coverage. *)
+let net_impls =
+  select [ "fig3"; "fig1"; "afek"; "nonblocking" ] On_net_sim.snapshots
 
 let impl_names =
   List.map fst impls
@@ -128,8 +127,8 @@ let run impl_name shards m r updaters updates scanners scans sched seed_base
       in
       let impl =
         one_of ("--mem net implementation " ^ impl_name)
-          (List.map fst Scenario.net_impls)
-          (List.assoc_opt impl_name Scenario.net_impls)
+          (List.map fst net_impls)
+          (List.assoc_opt impl_name net_impls)
       in
       go (Scenario.net impl ~mode ~replicas ~net_nemesis ~net_rate w ~check)
     | "off", "sim", "resilient" ->

@@ -9,7 +9,7 @@
    m — the paper's "local" guarantee — and is linearizable: it reflects a
    single instant of the whole vector. *)
 
-module S = Psnap.Mc_fig3
+module S = Psnap.On_mc.Fig3
 
 let () =
   let m = 1024 in

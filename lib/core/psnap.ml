@@ -1,17 +1,22 @@
 (** Public facade of the partial-snapshot library.
 
     The paper's objects — partial snapshots (Section 2.1) and active sets —
-    are provided as functors over a shared-memory backend, plus pre-applied
-    instances for the two backends:
+    are provided as functors over a shared-memory backend.  {!Algorithms}
+    applies every one of them to a backend and names them in two tables,
+    [snapshots] and [active_sets]; it is applied once per backend:
 
-    - {!Sim_*}: the step-counting simulator (use inside
-      {!Sim.run}); this is the backend on which the paper's complexity
-      theorems are validated.
-    - {!Mc_*}: OCaml 5 atomics, for real multi-domain programs.
+    - {!On_sim}: the step-counting simulator (use inside {!Sim.run}); this
+      is the backend on which the paper's complexity theorems are
+      validated.
+    - {!On_mc}: OCaml 5 atomics, for real multi-domain programs.
+    - {!On_replicated}, {!On_selfcheck}: the simulator behind
+      fault-hardened registers (docs/MODEL.md §9).
+    - {!On_net_sim}, {!On_net_mc}: ABD quorum registers over the simulated
+      and the multicore message transport (docs/MODEL.md §14).
 
     Quick start (multicore backend):
     {[
-      module S = Psnap.Mc_fig3
+      module S = Psnap.On_mc.Fig3
       let t = S.create ~n:4 (Array.make 1024 0)
       (* in domain/process [pid]: *)
       let h = S.handle t ~pid
@@ -178,36 +183,124 @@ module Persist = struct
   module Durable = Psnap_persist.Durable
 end
 
-(* ---- Pre-applied instances: simulator backend ---- *)
+(** The message-passing layer (docs/MODEL.md §14): deterministic simulated
+    transport with injectable link faults, the multicore inbox transport,
+    and the ABD quorum-register memory backend over them. *)
+module Net = struct
+  module Transport = Psnap_net.Net
+  module Abd = Psnap_net.Net_abd
 
-module Sim_aset_fai = Psnap_activeset.Fai_cas.Make (Mem.Sim)
-module Sim_aset_fai_small = Psnap_activeset.Fai_cas_small.Make (Mem.Sim)
-module Sim_aset_bounded = Psnap_activeset.Bounded.Make (Mem.Sim)
-module Sim_aset_farray = Psnap_snapshot.Farray_activeset.Make (Mem.Sim)
-module Sim_aset_splitter = Psnap_activeset.Splitter_tree.Make (Mem.Sim)
-module Sim_fig1 = Psnap_snapshot.Partial_register.Make (Mem.Sim) (Sim_aset_bounded)
+  (** Online reconfiguration (docs/MODEL.md §16): epoch-fenced membership
+      changes, replica replacement, health-based suspicion. *)
+  module Reconfig = Psnap_net.Net_reconfig
 
-(** Figure 1 exactly as Section 3 prescribes: registers only, with an
-    {e adaptive} active set in the spirit of [3]. *)
-module Sim_fig1_adaptive =
-  Psnap_snapshot.Partial_register.Make (Mem.Sim) (Sim_aset_splitter)
-module Sim_fig3 = Psnap_snapshot.Partial_cas.Make (Mem.Sim) (Sim_aset_fai)
-module Sim_afek = Psnap_snapshot.Afek.Make (Mem.Sim)
-module Sim_farray = Psnap_snapshot.Farray_snapshot.Make (Mem.Sim)
-module Sim_nonblocking = Psnap_snapshot.Partial_nonblocking.Make (Mem.Sim)
-module Sim_single_scanner = Psnap_snapshot.Single_scanner.Make (Mem.Sim)
+  exception Unavailable = Psnap_net.Net_abd.Unavailable
+end
 
-(** Small-registers variants (the remarks after Theorems 1-3). *)
-module Sim_fig1_small =
-  Psnap_snapshot.Partial_register.Make_small (Mem.Sim) (Sim_aset_bounded)
+(* ---- Every algorithm over one memory ---- *)
 
-module Sim_fig3_small =
-  Psnap_snapshot.Partial_cas.Make_small (Mem.Sim) (Sim_aset_fai_small)
+(** Every paper algorithm applied once to the memory [M], plus the named
+    tables the CLIs, the experiment harness and the suites choose their
+    implementations from. *)
+module Algorithms (M : Mem.S) = struct
+  (** The active sets: Figure 2 ([Fai_cas], and [Fai_cas_small] behind a
+      pointer to small registers), the O(n) flag baseline, the f-array
+      one, and the register-only splitter tree. *)
+  module Fai_cas = Psnap_activeset.Fai_cas.Make (M)
 
-(** Ablation: Figure 3's snapshot machinery with the non-adaptive bounded
-    active set instead of Figure 2's. *)
-module Sim_fig3_bounded_aset =
-  Psnap_snapshot.Partial_cas.Make (Mem.Sim) (Sim_aset_bounded)
+  module Fai_cas_small = Psnap_activeset.Fai_cas_small.Make (M)
+  module Bounded = Psnap_activeset.Bounded.Make (M)
+  module Farray_aset = Psnap_snapshot.Farray_activeset.Make (M)
+  module Splitter_tree = Psnap_activeset.Splitter_tree.Make (M)
+  module Fig1 = Psnap_snapshot.Partial_register.Make (M) (Bounded)
+
+  (** Figure 1 exactly as Section 3 prescribes: registers only, with an
+      {e adaptive} active set in the spirit of [3]. *)
+  module Fig1_adaptive = Psnap_snapshot.Partial_register.Make (M) (Splitter_tree)
+
+  (** Small-registers variants (the remarks after Theorems 1-3). *)
+  module Fig1_small = Psnap_snapshot.Partial_register.Make_small (M) (Bounded)
+
+  module Fig3 = Psnap_snapshot.Partial_cas.Make (M) (Fai_cas)
+  module Fig3_small = Psnap_snapshot.Partial_cas.Make_small (M) (Fai_cas_small)
+
+  (** Ablation: Figure 3's snapshot machinery with the non-adaptive bounded
+      active set instead of Figure 2's. *)
+  module Fig3_bounded_aset = Psnap_snapshot.Partial_cas.Make (M) (Bounded)
+
+  module Afek = Psnap_snapshot.Afek.Make (M)
+  module Farray = Psnap_snapshot.Farray_snapshot.Make (M)
+  module Nonblocking = Psnap_snapshot.Partial_nonblocking.Make (M)
+
+  (** Not a {!Snapshot.S}: [create] also takes the owner map and the
+      scanner, so it is in no table. *)
+  module Single_scanner = Psnap_snapshot.Single_scanner.Make (M)
+
+  (** Every snapshot above, under the names [simulate --impl] accepts. *)
+  let snapshots : (string * (module Snapshot.S)) list =
+    [
+      ("afek", (module Afek));
+      ("fig1", (module Fig1));
+      ("fig1-adaptive", (module Fig1_adaptive));
+      ("fig1-small", (module Fig1_small));
+      ("fig3", (module Fig3));
+      ("fig3-small", (module Fig3_small));
+      ("fig3-bounded-aset", (module Fig3_bounded_aset));
+      ("farray", (module Farray));
+      ("nonblocking", (module Nonblocking));
+    ]
+
+  (** Every active set above, under its [name]. *)
+  let active_sets : (string * (module Active_set.S)) list =
+    [
+      ("bounded", (module Bounded));
+      ("fai-cas", (module Fai_cas));
+      ("fai-cas-small", (module Fai_cas_small));
+      ("farray-aset", (module Farray_aset));
+      ("splitter-tree", (module Splitter_tree));
+    ]
+end
+
+(** [select names table] is the rows of [table] named [names], in that
+    order; raises [Not_found] on a name the table lacks. *)
+let select names table = List.map (fun n -> (n, List.assoc n table)) names
+
+(** The step-counting simulator (use inside {!Sim.run}): the backend on
+    which the paper's complexity theorems are validated. *)
+module On_sim = Algorithms (Mem.Sim)
+
+(** OCaml 5 atomics, for real multi-domain programs. *)
+module On_mc = Algorithms (Mem.Atomic)
+
+(** The simulator behind 3-fold replicated registers (docs/MODEL.md §9,
+    EXPERIMENTS.md E15): logical step counts are unchanged, each logical
+    access costs several simulator steps, and [On_replicated.Fig3]
+    survives seeded memory-fault storms that break [On_sim.Fig3]. *)
+module On_replicated = Algorithms (Mem.Sim_replicated)
+
+(** The simulator behind single-cell self-validating registers: detects
+    and repairs corruption without replication, but cannot survive stuck
+    cells. *)
+module On_selfcheck = Algorithms (Mem.Sim_selfcheck)
+
+(** Replicated ABD quorum registers on the simulator (docs/MODEL.md §14):
+    every base-object access becomes a bounded quorum operation against
+    crash-prone replicas, and the algorithms stay linearizable under
+    partitions, duplication and reordering (EXPERIMENTS.md E19). *)
+module On_net_sim = Algorithms (Net.Abd.Sim_mem)
+
+(** The multicore ABD cluster (replica domains + inbox queues) — what the
+    loadgen's [--mem net] drives to price quorum round-trips against raw
+    shared memory. *)
+module On_net_mc = Algorithms (Net.Abd.Mc_mem)
+
+(* Flat names kept because perfbench/ builds its stacks on them. *)
+module Sim_fig3 = On_sim.Fig3
+module Mc_fig3 = On_mc.Fig3
+module Sim_net_fig3 = On_net_sim.Fig3
+module Mc_net_fig3 = On_net_mc.Fig3
+
+(* ---- Runtime stacks over Figure 3 ---- *)
 
 (** Figure 3 sharded 4 ways (validated cross-shard scans, round-robin
     placement) on the simulator — the instance the chaos campaigns and
@@ -221,29 +314,6 @@ module Sim_sharded_fig3 =
       let mode = `Validated
     end)
 
-(* ---- Hardened instances: the same algorithms over fault-tolerant
-   registers (docs/MODEL.md §9, EXPERIMENTS.md E15).  Logical step counts
-   are unchanged; each logical access costs several simulator steps. ---- *)
-
-(** Figure 3 over 3-fold replicated registers: survives seeded memory-fault
-    storms that produce non-linearizable histories on {!Sim_fig3}. *)
-module Sim_fig3_hardened =
-  Psnap_snapshot.Partial_cas.Make (Mem.Sim_replicated)
-    (Psnap_activeset.Fai_cas.Make (Mem.Sim_replicated))
-
-(** Figure 1 over 3-fold replicated registers. *)
-module Sim_fig1_hardened =
-  Psnap_snapshot.Partial_register.Make
-    (Mem.Sim_replicated)
-    (Psnap_activeset.Bounded.Make (Mem.Sim_replicated))
-
-(** Figure 3 over single-cell self-validating registers: detects and
-    repairs corruption without replication (but cannot survive stuck
-    cells). *)
-module Sim_fig3_selfcheck =
-  Psnap_snapshot.Partial_cas.Make (Mem.Sim_selfcheck)
-    (Psnap_activeset.Fai_cas.Make (Mem.Sim_selfcheck))
-
 (** The resilient serving layer on the simulator (docs/MODEL.md §11,
     EXPERIMENTS.md E17): Figure 3 over self-validating registers as the
     primary per-shard implementation, healed shards rebuilt on Figure 3
@@ -252,8 +322,8 @@ module Sim_fig3_selfcheck =
     campaigns can target them by name (["rshard0.epoch"], ...).  Build
     other geometries and budgets directly with {!Runtime.Resilient.Make}. *)
 module Sim_resilient_fig3 =
-  Psnap_runtime.Resilient.Make (Mem.Sim) (Sim_fig3_selfcheck)
-    (Sim_fig3_hardened)
+  Psnap_runtime.Resilient.Make (Mem.Sim) (On_selfcheck.Fig3)
+    (On_replicated.Fig3)
     (struct
       let shards = 4
       let partition = `Round_robin
@@ -272,64 +342,7 @@ module Sim_durable_fig3 =
     committed e20 witness drive: version chains in Figure 3 components,
     Figure 2's active set as the in-flight committer list
     (docs/MODEL.md §15, EXPERIMENTS.md E20). *)
-module Sim_txn_fig3 = Psnap_txn.Txn.Make (Mem.Sim) (Sim_fig3) (Sim_aset_fai)
-
-(* ---- Distributed backend (docs/MODEL.md §14): ABD quorum registers
-   over the crash-prone message transport ---- *)
-
-(** The message-passing layer: deterministic simulated transport with
-    injectable link faults, the multicore inbox transport, and the ABD
-    quorum-register memory backend over them. *)
-module Net = struct
-  module Transport = Psnap_net.Net
-  module Abd = Psnap_net.Net_abd
-
-  (** Online reconfiguration (docs/MODEL.md §16): epoch-fenced membership
-      changes, replica replacement, health-based suspicion. *)
-  module Reconfig = Psnap_net.Net_reconfig
-
-  exception Unavailable = Psnap_net.Net_abd.Unavailable
-end
-
-(** Figure 3 over replicated ABD quorum registers on the simulator — the
-    instance the [--mem net] chaos campaigns drive: every base-object
-    access becomes a bounded quorum operation against [--replicas]
-    crash-prone replicas, and the whole thing stays linearizable under
-    partitions, duplication and reordering (EXPERIMENTS.md E19). *)
-module Sim_net_fig3 =
-  Psnap_snapshot.Partial_cas.Make (Psnap_net.Net_abd.Sim_mem)
-    (Psnap_activeset.Fai_cas.Make (Psnap_net.Net_abd.Sim_mem))
-
-(** Figure 3 over the multicore ABD cluster (replica domains + inbox
-    queues) — what the loadgen's [--mem net] drives to price quorum
-    round-trips against raw shared memory. *)
-module Mc_net_fig3 =
-  Psnap_snapshot.Partial_cas.Make (Psnap_net.Net_abd.Mc_mem)
-    (Psnap_activeset.Fai_cas.Make (Psnap_net.Net_abd.Mc_mem))
-
-(* ---- Pre-applied instances: multicore (Atomic) backend ---- *)
-
-module Mc_aset_fai = Psnap_activeset.Fai_cas.Make (Mem.Atomic)
-module Mc_aset_splitter = Psnap_activeset.Splitter_tree.Make (Mem.Atomic)
-module Mc_fig1 =
-  Psnap_snapshot.Partial_register.Make (Mem.Atomic)
-    (Psnap_activeset.Bounded.Make (Mem.Atomic))
-
-module Mc_fig1_adaptive =
-  Psnap_snapshot.Partial_register.Make (Mem.Atomic) (Mc_aset_splitter)
-
-module Mc_fig1_small =
-  Psnap_snapshot.Partial_register.Make_small (Mem.Atomic)
-    (Psnap_activeset.Bounded.Make (Mem.Atomic))
-
-module Mc_fig3 = Psnap_snapshot.Partial_cas.Make (Mem.Atomic) (Mc_aset_fai)
-
-module Mc_fig3_small =
-  Psnap_snapshot.Partial_cas.Make_small (Mem.Atomic)
-    (Psnap_activeset.Fai_cas_small.Make (Mem.Atomic))
-
-module Mc_afek = Psnap_snapshot.Afek.Make (Mem.Atomic)
-module Mc_farray = Psnap_snapshot.Farray_snapshot.Make (Mem.Atomic)
+module Sim_txn_fig3 = Psnap_txn.Txn.Make (Mem.Sim) (Sim_fig3) (On_sim.Fai_cas)
 
 (** Figure 3 made durable on real atomics, logging through the
     mutex-guarded multicore device — what the loadgen's [--impl durable]
@@ -340,4 +353,4 @@ module Mc_durable_fig3 =
 (** The MVCC transactional store over Figure 3 on real atomics — what the
     loadgen's [--impl txn] drives: a zipf read-mostly transaction mix with
     commit/abort/retry accounting (EXPERIMENTS.md E20). *)
-module Mc_txn_fig3 = Psnap_txn.Txn.Make (Mem.Atomic) (Mc_fig3) (Mc_aset_fai)
+module Mc_txn_fig3 = Psnap_txn.Txn.Make (Mem.Atomic) (Mc_fig3) (On_mc.Fai_cas)

@@ -28,7 +28,7 @@ let e1 ?(seeds = default_seeds) () =
           (fun r ->
             let cfg =
               {
-                Workload.impl = Instance.sim_fig1;
+                Workload.impl = Instance.sim "fig1";
                 m;
                 updaters;
                 updates = 20;
@@ -86,7 +86,7 @@ let e1 ?(seeds = default_seeds) () =
 (* ---- E2: Figure 2 + Theorem 2 ---- *)
 
 let e2 ?(seeds = default_seeds) () =
-  let module A = Sim_aset_fai in
+  let module A = On_sim.Fai_cas in
   let run_cfg ~members ~cycles ~observers ~getsets seed =
     let rec_ = Metrics.create () in
     let t = A.create ~n:(members + observers) () in
@@ -159,7 +159,7 @@ let e2 ?(seeds = default_seeds) () =
 
 let fig3_cfg ~m ~updaters ~r ~seeds =
   {
-    Workload.impl = Instance.sim_fig3;
+    Workload.impl = Instance.sim "fig3";
     m;
     updaters;
     updates = 30;
@@ -252,7 +252,8 @@ let e3c ?(seeds = default_seeds) () =
 
 let e4 ?(seeds = default_seeds) () =
   let r = 8 in
-  let impls = Instance.sim_all in
+  (* the full-snapshot baseline against the two figures *)
+  let impls = List.map Instance.sim [ "afek"; "fig1"; "fig3" ] in
   let row_of_m m =
     Table.i m
     :: List.concat_map
@@ -312,10 +313,10 @@ let e5 ?(seeds = default_seeds) () =
       in
       Workload.run cfg
     in
-    let fig3_rand = run Instance.sim_fig3 ~adversarial:false in
-    let afek_rand = run Instance.sim_afek ~adversarial:false in
-    let fig3_worst = run Instance.sim_fig3 ~adversarial:true in
-    let afek_worst = run Instance.sim_afek ~adversarial:true in
+    let fig3_rand = run (Instance.sim "fig3") ~adversarial:false in
+    let afek_rand = run (Instance.sim "afek") ~adversarial:false in
+    let fig3_worst = run (Instance.sim "fig3") ~adversarial:true in
+    let afek_worst = run (Instance.sim "afek") ~adversarial:true in
     [
       Table.i r;
       Table.f1 (Workload.mean_steps fig3_rand "scan");
@@ -417,8 +418,8 @@ let e6 ?seeds () =
   let row_of_updaters updaters =
     [
       Table.i updaters;
-      Table.i (run_one Instance.sim_fig1 ~updaters);
-      Table.i (run_one Instance.sim_fig3 ~updaters);
+      Table.i (run_one (Instance.sim "fig1") ~updaters);
+      Table.i (run_one (Instance.sim "fig3") ~updaters);
       Table.i ((2 * r) + 1);
     ]
   in
@@ -434,8 +435,8 @@ let e6 ?seeds () =
 
 let e7 ?(seeds = default_seeds) () =
   ignore seeds;
-  let module B = Sim_aset_bounded in
-  let module F = Sim_aset_fai in
+  let module B = On_sim.Bounded in
+  let module F = On_sim.Fai_cas in
   (* 2 processes churn [cycles] times and one observer measures a getSet
      after the churn is published; the bounded baseline pays n steps, the
      Figure 2 object pays only for live slots. *)
@@ -485,7 +486,7 @@ let e7 ?(seeds = default_seeds) () =
     !steps
   in
   let measure_splitter ~n ~cycles =
-    let module Sp = Sim_aset_splitter in
+    let module Sp = On_sim.Splitter_tree in
     ignore n;
     let steps = ref 0 in
     let procs =
@@ -551,7 +552,8 @@ let e9 ?(seeds = default_seeds) () =
               scan_idxs = None;
             }
         in
-        let fa = run Instance.sim_farray and f3 = run Instance.sim_fig3 in
+        let fa = run (Instance.sim "farray")
+        and f3 = run (Instance.sim "fig3") in
         [
           Table.i m;
           Table.f1 (Workload.mean_steps fa "scan");
@@ -608,10 +610,10 @@ let e10 ?(seeds = default_seeds) () =
       "E10  Small-registers ablation: views in one large cell vs one register per pair (m=32, r=8, starved scanners)"
     ~header:[ "variant"; "scan mean"; "scan worst"; "upd mean"; "upd worst" ]
     [
-      row "fig1 large" (run Instance.sim_fig1);
-      row "fig1 small" (run Instance.sim_fig1_small);
-      row "fig3 large" (run Instance.sim_fig3);
-      row "fig3 small" (run Instance.sim_fig3_small);
+      row "fig1 large" (run (Instance.sim "fig1"));
+      row "fig1 small" (run (Instance.sim "fig1-small"));
+      row "fig3 large" (run (Instance.sim "fig3"));
+      row "fig3 small" (run (Instance.sim "fig3-small"));
     ]
 
 (* ---- E11: active set ablation inside Figure 3 ---- *)
@@ -637,8 +639,8 @@ let e11 ?(seeds = default_seeds) () =
               scan_idxs = None;
             }
         in
-        let fai = run Instance.sim_fig3
-        and bounded = run Instance.sim_fig3_bounded in
+        let fai = run (Instance.sim "fig3")
+        and bounded = run (Instance.sim "fig3-bounded-aset") in
         [
           Table.i (updaters + 2);
           Table.f1 (Workload.mean_steps fai "update");
@@ -665,7 +667,7 @@ let e11 ?(seeds = default_seeds) () =
 
 let e12 ?seeds () =
   ignore seeds;
-  let module SS = Sim_single_scanner in
+  let module SS = On_sim.Single_scanner in
   let m = 64 in
   let measure r =
     let owner = Array.init m (fun i -> i mod 2) in
@@ -698,7 +700,7 @@ let e12 ?seeds () =
     let o =
       Workload.run
         {
-          Workload.impl = Instance.sim_fig3;
+          Workload.impl = Instance.sim "fig3";
           m;
           updaters = 2;
           updates = 30;
@@ -738,8 +740,8 @@ let e12 ?seeds () =
 
 let e13 ?seeds () =
   ignore seeds;
-  let module F = Sim_aset_fai in
-  let module B = Sim_aset_bounded in
+  let module F = On_sim.Fai_cas in
+  let module B = On_sim.Bounded in
   let churn_allocs create join leave getset ~cycles =
     let out = ref 0 in
     ignore
@@ -828,7 +830,7 @@ let e16s ?(seeds = default_seeds) () =
   let rows =
     List.map
       (fun n ->
-        let flat = Workload.run (cfg Instance.sim_fig3 n) in
+        let flat = Workload.run (cfg (Instance.sim "fig3") n) in
         let fallbacks0 = Metrics.(get Serving.scan_fallbacks) in
         let sh =
           Workload.run (cfg (Instance.of_module (module Sim_sharded_range8)) n)

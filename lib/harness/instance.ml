@@ -22,24 +22,5 @@ let of_module (module S : Psnap.Snapshot.S) =
   in
   { name = S.name; create }
 
-(** The simulator-backed implementations, in comparison order. *)
-let sim_all : t list =
-  [
-    of_module (module Psnap.Sim_afek);
-    of_module (module Psnap.Sim_fig1);
-    of_module (module Psnap.Sim_fig3);
-  ]
-
-let sim_fig1 = of_module (module Psnap.Sim_fig1)
-
-let sim_fig3 = of_module (module Psnap.Sim_fig3)
-
-let sim_afek = of_module (module Psnap.Sim_afek)
-
-let sim_fig3_bounded = of_module (module Psnap.Sim_fig3_bounded_aset)
-
-let sim_fig1_small = of_module (module Psnap.Sim_fig1_small)
-
-let sim_fig3_small = of_module (module Psnap.Sim_fig3_small)
-
-let sim_farray = of_module (module Psnap.Sim_farray)
+(** The simulator row of [Psnap.On_sim.snapshots] named [name]. *)
+let sim name = of_module (List.assoc name Psnap.On_sim.snapshots)

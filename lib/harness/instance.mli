@@ -12,21 +12,6 @@ type t = { name : string; create : n:int -> int array -> obj }
 
 val of_module : (module Psnap.Snapshot.S) -> t
 
-(** Simulator-backed instances used by the experiment tables. *)
-
-val sim_all : t list
-(** afek, fig1, fig3 — the main comparison set *)
-
-val sim_fig1 : t
-
-val sim_fig3 : t
-
-val sim_afek : t
-
-val sim_fig3_bounded : t
-
-val sim_fig1_small : t
-
-val sim_fig3_small : t
-
-val sim_farray : t
+val sim : string -> t
+(** The row of [Psnap.On_sim.snapshots] with this name (the names
+    [simulate --impl] accepts); raises [Not_found] on any other name. *)

@@ -117,7 +117,7 @@ let clean_fig3 =
     describe = "fig3 snapshot, 2 updaters + 1 scanner: all state atomic";
     procs =
       (fun () ->
-        let obj = Instance.sim_fig3.Instance.create ~n:3 [| 0; 0; 0 |] in
+        let obj = (Instance.sim "fig3").Instance.create ~n:3 [| 0; 0; 0 |] in
         [|
           (fun () ->
             for k = 1 to 3 do

@@ -202,7 +202,7 @@ let partition = `Round_robin
 let resilient ~shards ~stick_epoch ~stall_shard ~slow_pid w =
   check_shape w;
   let module RS =
-    Runtime.Resilient.Make (Mem.Sim) (Sim_fig3_selfcheck) (Sim_fig3_hardened)
+    Runtime.Resilient.Make (Mem.Sim) (On_selfcheck.Fig3) (On_replicated.Fig3)
       (struct
         let shards = shards
         let partition = partition
@@ -537,16 +537,6 @@ let txn ~mode w =
   }
 
 (* ---- snapshot algorithms over ABD quorum registers ---- *)
-
-module Net_aset_bounded = Active_set.Bounded (Net.Abd.Sim_mem)
-
-let net_impls : (string * (module Snapshot.S)) list =
-  [
-    ("fig3", (module Sim_net_fig3));
-    ("fig1", (module Snapshot.Fig1 (Net.Abd.Sim_mem) (Net_aset_bounded)));
-    ("afek", (module Snapshot.Afek (Net.Abd.Sim_mem)));
-    ("nonblocking", (module Snapshot.Nonblocking (Net.Abd.Sim_mem)));
-  ]
 
 (* Network nemeses over [nodes]; [victim] is the first replica. *)
 let net_nemesis_of name ~rate ~nodes ~victim =

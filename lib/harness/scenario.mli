@@ -154,5 +154,3 @@ val reconfig :
     back (lost-write oracle), readers check per-register monotonicity, and
     with [check] each register's history is checked for linearizability. *)
 
-val net_impls : (string * (module Snapshot.S)) list
-(** Snapshot algorithms that run over quorum registers. *)

@@ -11,14 +11,7 @@ let check_bool = Alcotest.(check bool)
 
 module type ASET = Active_set.S
 
-let impls : (string * (module ASET)) list =
-  [
-    ("bounded", (module Sim_aset_bounded));
-    ("fai-cas", (module Sim_aset_fai));
-    ("fai-cas-small", (module Sim_aset_fai_small));
-    ("farray-aset", (module Sim_aset_farray));
-    ("splitter-tree", (module Sim_aset_splitter));
-  ]
+let impls = On_sim.active_sets
 
 let in_sim ?sched f =
   let sched = Option.value sched ~default:(Scheduler.round_robin ()) in
@@ -172,7 +165,7 @@ let test_exhaustive_tiny (module A : ASET) () =
 
 (* ---- Figure 2 specifics: Theorem 2 ---- *)
 
-module F = Sim_aset_fai
+module F = On_sim.Fai_cas
 
 (* join and leave are O(1) worst case — constant step count no matter how
    much history or contention the object has seen. *)
@@ -344,7 +337,7 @@ let test_fai_slots_not_recycled () =
 
 (* ---- splitter-tree specifics (the [3]-style adaptive active set) ---- *)
 
-module Sp = Sim_aset_splitter
+module Sp = On_sim.Splitter_tree
 
 (* after the first join acquired a node, join/leave are O(1) *)
 let test_splitter_rejoin_constant () =

@@ -4,7 +4,7 @@
 
 open Psnap
 module CA = Psnap_apps.Commit_adopt.Make (Sim_fig3)
-module CA_afek = Psnap_apps.Commit_adopt.Make (Sim_afek)
+module CA_afek = Psnap_apps.Commit_adopt.Make (On_sim.Afek)
 
 let check_bool = Alcotest.(check bool)
 
@@ -147,7 +147,7 @@ module Suite_afek = Suite (CA_afek)
 
 (* ---- the f-array active set joins the generic validity matrix ---- *)
 
-module FA = Psnap_snapshot.Farray_activeset.Make (Psnap.Mem.Sim)
+module FA = Psnap.On_sim.Farray_aset
 
 let test_farray_aset_validity () =
   for seed = 0 to 29 do

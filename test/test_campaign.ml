@@ -33,7 +33,7 @@ let durable write_ahead () =
 
 let net mode () =
   Scenario.net
-    (module Snapshot.Nonblocking (Net.Abd.Sim_mem))
+    (module On_net_sim.Nonblocking)
     ~mode ~replicas:3 ~net_nemesis:"none" ~net_rate:0.
     (snap ~m:4 ~r:4 ~updaters:3 ~updates:12 ~scanners:3 ~scans:8 ())
     ~check:true
@@ -82,7 +82,7 @@ let witness_cases =
   List.concat
     [
       row "e15-fig3-corrupt" (8, 1) (flat (module Sim_fig3))
-        (flat (module Sim_fig3_hardened));
+        (flat (module On_replicated.Fig3));
       row "e17-sharded-relaxed" (1, 1)
         (flat ~m:32 (sharded `Relaxed))
         (flat ~m:32 (sharded `Validated));

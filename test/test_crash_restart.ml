@@ -296,7 +296,7 @@ let snapshot_chaos_campaign (module S : Snapshot.S) ~seeds =
   check_bool "campaign injected restarts" true (!restarts > 0)
 
 let test_fig1_linearizable_under_chaos () =
-  snapshot_chaos_campaign (module Sim_fig1) ~seeds:25
+  snapshot_chaos_campaign (module On_sim.Fig1) ~seeds:25
 
 let test_fig3_linearizable_under_chaos () =
   snapshot_chaos_campaign (module Sim_fig3) ~seeds:25
@@ -304,7 +304,7 @@ let test_fig3_linearizable_under_chaos () =
 (* ---- Figure 2 (active set) under chaos with restarts ---- *)
 
 let test_fig2_valid_under_chaos () =
-  let module A = Sim_aset_fai in
+  let module A = On_sim.Fai_cas in
   let module AC = Activeset_check in
   let n = 4 in
   let restarts = ref 0 in

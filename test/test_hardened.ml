@@ -323,15 +323,6 @@ let hardened_chaos_campaign (module S : Snapshot.S) ~seeds =
   check_bool "hardening detected faults" true
     (detected () + (H.stats ()).H.repairs > 0)
 
-let test_fig3_hardened_linearizable_under_storm () =
-  hardened_chaos_campaign (module Sim_fig3_hardened) ~seeds:20
-
-let test_fig1_hardened_linearizable_under_storm () =
-  hardened_chaos_campaign (module Sim_fig1_hardened) ~seeds:20
-
-let test_fig3_selfcheck_linearizable_under_storm () =
-  hardened_chaos_campaign (module Sim_fig3_selfcheck) ~seeds:20
-
 let () =
   Alcotest.run "hardened"
     [
@@ -368,11 +359,11 @@ let () =
         ] );
       ( "e15-constructive",
         [
-          Alcotest.test_case "fig3-hardened under storm" `Slow
-            test_fig3_hardened_linearizable_under_storm;
-          Alcotest.test_case "fig1-hardened under storm" `Slow
-            test_fig1_hardened_linearizable_under_storm;
-          Alcotest.test_case "fig3-selfcheck under storm" `Slow
-            test_fig3_selfcheck_linearizable_under_storm;
+          Alcotest.test_case "fig3-hardened under storm" `Slow (fun () ->
+              hardened_chaos_campaign (module On_replicated.Fig3) ~seeds:20);
+          Alcotest.test_case "fig1-hardened under storm" `Slow (fun () ->
+              hardened_chaos_campaign (module On_replicated.Fig1) ~seeds:20);
+          Alcotest.test_case "fig3-selfcheck under storm" `Slow (fun () ->
+              hardened_chaos_campaign (module On_selfcheck.Fig3) ~seeds:20);
         ] );
     ]

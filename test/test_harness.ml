@@ -13,7 +13,7 @@ let check_int = Alcotest.(check int)
 
 let base_cfg =
   {
-    Workload.impl = Instance.sim_fig3;
+    Workload.impl = Instance.sim "fig3";
     m = 8;
     updaters = 2;
     updates = 5;

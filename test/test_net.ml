@@ -14,7 +14,7 @@ open Psnap
 open Psnap_harness
 module A = Psnap.Net.Abd
 module T = Psnap.Net.Transport
-module NSnap = Psnap_snapshot.Partial_nonblocking.Make (A.Sim_mem)
+module NSnap = On_net_sim.Nonblocking
 module NM = A.Sim_mem
 
 let check_bool = Alcotest.(check bool)

@@ -672,43 +672,22 @@ let recovery_prop =
       agrees (Load_sim.load segments ~init)
       && agrees (Load_mc.load segments ~init))
 
-let snapshot_impls : (string * (module SNAP)) list =
-  [
-    ("afek", (module Sim_afek));
-    ("fig1", (module Sim_fig1));
-    ("fig3", (module Sim_fig3));
-    ("fig1-small", (module Sim_fig1_small));
-    ("fig3-small", (module Sim_fig3_small));
-    ("farray", (module Sim_farray));
-    ("nonblocking", (module Sim_nonblocking));
-    ("fig1-adaptive", (module Sim_fig1_adaptive));
-  ]
-
-let aset_impls : (string * (module ASET)) list =
-  [
-    ("bounded", (module Sim_aset_bounded));
-    ("fai-cas", (module Sim_aset_fai));
-    ("fai-cas-small", (module Sim_aset_fai_small));
-    ("farray-aset", (module Sim_aset_farray));
-    ("splitter-tree", (module Sim_aset_splitter));
-  ]
-
 let () =
   Alcotest.run "props"
     [
       ( "snapshots",
         List.map
           (fun (n, m) -> QCheck_alcotest.to_alcotest (snapshot_prop n m))
-          snapshot_impls );
+          On_sim.snapshots );
       ( "snapshots-mixed-roles",
         List.map
           (fun (n, m) ->
             QCheck_alcotest.to_alcotest (snapshot_prop ~mixed:true n m))
-          snapshot_impls );
+          On_sim.snapshots );
       ( "active-sets",
         List.map
           (fun (n, m) -> QCheck_alcotest.to_alcotest (aset_prop n m))
-          aset_impls );
+          On_sim.active_sets );
       ( "values",
         [ QCheck_alcotest.to_alcotest values_belong_prop ] );
       ( "wal",

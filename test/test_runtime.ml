@@ -303,7 +303,7 @@ let test_exact_lincheck () =
   List.iter exact_lincheck
     [
       (module Sim_fig3);
-      (module Sim_fig1);
+      (module On_sim.Fig1);
       (module Sim_sharded_fig3);
       (module Sim_resilient_fig3.Snap);
     ]
@@ -322,7 +322,7 @@ module Sim_sharded_range2 =
    read are one step each: the double collect under test only uses the
    shards' reads, and each read already costs a pointer read besides. *)
 module Sim_resilient_range2 =
-  Psnap_runtime.Resilient.Make (Mem.Sim) (Sim_nonblocking) (Sim_nonblocking)
+  Psnap_runtime.Resilient.Make (Mem.Sim) (On_sim.Nonblocking) (On_sim.Nonblocking)
     (struct
       let shards = 2
       let partition = `Range
@@ -554,7 +554,7 @@ module Sim_sharded_one =
    whose breaker stays closed, running the non-blocking partial snapshot
    (as [Sim_resilient_range2] does) to keep the interleavings few. *)
 module Sim_resilient_one =
-  Psnap_runtime.Resilient.Make (Mem.Sim) (Sim_nonblocking) (Sim_nonblocking)
+  Psnap_runtime.Resilient.Make (Mem.Sim) (On_sim.Nonblocking) (On_sim.Nonblocking)
     (struct
       let shards = 1
       let partition = `Range

@@ -7,7 +7,7 @@
    multi-writer algorithm needs CAS and helping. *)
 
 open Psnap
-module S = Sim_single_scanner
+module S = On_sim.Single_scanner
 
 let check_int = Alcotest.(check int)
 

@@ -139,7 +139,7 @@ let test_sharded_single_shard_bound () =
    collects <= 2*Cu + 1 where Cu is the number of update operations
    overlapping the scan (coarsely bounded here by all updates). *)
 let test_fig1_scan_waitfree_under_storm () =
-  let module S = Sim_fig1 in
+  let module S = On_sim.Fig1 in
   for seed = 0 to 9 do
     let updaters = 3 and updates = 50 in
     let t = S.create ~n:(updaters + 1) (Array.init 8 (fun i -> -i - 1)) in
@@ -285,7 +285,7 @@ let test_nonblocking_diverges_where_fig3_terminates () =
     { Scheduler.name = "update-per-collect"; pick }
   in
   (* non-blocking: diverges (gives up after 100 collects) *)
-  let module N = Sim_nonblocking in
+  let module N = On_sim.Nonblocking in
   let nb = N.create ~n:2 [| 0; 0 |] in
   let updates_done = ref 0 in
   let starved = ref false in
