@@ -86,8 +86,9 @@ chaos-mem:
 # Serving-layer smoke (E16): drive the flat and sharded Figure 3 through
 # the multicore loadgen on 2 domains — sharded with window scans (mostly
 # inside one shard) and with random-set scans (cross-shard double
-# collects) — short budget, JSON summaries
-# uploaded with the other campaign artifacts.  These runs smoke-test the
+# collects) — and the durable store on 2 write-only domains, whose
+# commits take different stripes of the commit lock at once (E18).  Short
+# budget, JSON summaries uploaded with the other campaign artifacts.  These runs smoke-test the
 # serving path; its steady cost is measured by perfbench/ (BENCHMARK.json).
 loadgen-smoke:
 	dune build bin/loadgen.exe
@@ -101,6 +102,9 @@ loadgen-smoke:
 	dune exec bin/loadgen.exe -- --impl sharded --shards 8 --partition range \
 	  -m 1024 -r 16 --domains 2 --mix 1u+1s --scan random --duration 500ms \
 	  --warmup 0.1s --seed 42 --json $(ARTIFACTS)/loadgen-sharded-random.json
+	dune exec bin/loadgen.exe -- --impl durable -m 1024 -r 16 --domains 2 \
+	  --mix 100:0 --duration 500ms --warmup 0.1s --seed 42 \
+	  --json $(ARTIFACTS)/loadgen-durable-writes.json
 
 # Serving campaign (E16/E17, docs/MODEL.md §10–§11): first the plain
 # validated sharded front under the chaos and crash-restart nemeses, at

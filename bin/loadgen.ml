@@ -102,9 +102,10 @@ let impl_of ~shards ~partition ~open_shard name : (module Snapshot.S) =
     end)
   | "durable" ->
     (* Figure 3 behind the write-ahead log on the mutex-guarded multicore
-       device: every update pays append + sync + commit-lock serialization
-       before it acknowledges.  Measured against plain fig3, this prices
-       durability in the latency histograms (EXPERIMENTS.md E18). *)
+       device: every update pays append + sync under its component's
+       stripe of the commit lock before it acknowledges.  Measured against
+       plain fig3, this prices durability in the latency histograms
+       (EXPERIMENTS.md E18). *)
     (module Mc_durable_fig3)
   | "txn" -> (module Mc_txn_snap)
   | _ -> (

@@ -391,9 +391,10 @@ let durable ~config ~power w =
       snapshot_body w rec_ (Some hist) ~worst_collects (fun ~incarnation pid ->
           if incarnation > 1 then rebuild_if_power_lost ();
           let h = D.handle !cur ~pid in
-          (* After a plain crash–restart the commit lock may still hold
-             this updater's published intent; after a power loss the lock
-             is fresh and this is a no-op. *)
+          (* After a plain crash–restart a stripe of the commit lock may
+             still hold this updater's published intent, or its dead
+             checkpoint's hold; after a power loss the stripes are fresh
+             and this is a no-op. *)
           if incarnation > 1 && pid < w.updaters then D.resume h;
           { update = D.update h; scan = D.scan h;
             collects = (fun () -> D.last_scan_collects h) })

@@ -2,12 +2,13 @@
     committed updates into one sealed begin/seal/end triple that recovery
     applies atomically — it only ever trusts a {e complete} triple, so a
     power loss inside the write window leaves the previous checkpoint
-    authoritative.  The caller must hold the commit lock: the lock freezes
-    the lsn horizon, and the view sealed is the committed array the lock
-    guards (see [Durable]), not a scan of the inner object.  Once the
-    triple is durable, the log before it is discarded, so the log always
-    starts at the last complete triple.  A checkpoint is O(1) steps:
-    three appends, one sync and one discard. *)
+    authoritative.  The caller must hold every stripe of the commit lock
+    and pass the largest of their next lsns as [next_lsn]: the stripes
+    freeze every component's lsns, and the view sealed is the committed
+    array they guard (see [Durable]), not a scan of the inner object.
+    Once the triple is durable, the log before it is discarded, so the
+    log always starts at the last complete triple.  [write] is O(1)
+    steps: three appends, one sync and one discard. *)
 
 module Make (St : Storage.S) : sig
   val write :

@@ -7,15 +7,19 @@
     linearizability: completed operations persist; an operation in flight
     at the loss linearizes at most once).
 
-    Commits are serialized through a single {e commit lock} carrying a
-    published intent — acquire, append, sync, apply, release — so log
-    order equals apply order by construction and nothing reaches [Inner]
-    before it is durable; scans never touch the lock and keep [Inner]'s
-    wait-freedom.  Updates are blocking (a log latch): a crashed lock
-    holder blocks writers until its next incarnation completes the
-    published intent via {!Make.resume}.  There is deliberately no helping:
-    a helper racing a later same-component commit could clobber the newer
-    value.
+    Each component's commits are serialized through its stripe of a
+    striped {e commit lock} (component [i] in stripe [i land (s - 1)],
+    [s] the smallest power of two ≥ m, at most 64), which carries a
+    published intent — acquire, append, sync, apply, release — so a
+    component's log order equals its apply order by construction, and
+    nothing reaches [Inner] before it is durable.  Each stripe draws its
+    own lsns; recovery filters lsns per component.  Updates of components
+    in different stripes never wait for each other; scans never touch
+    the lock and keep [Inner]'s wait-freedom.  Updates are blocking (a
+    log latch): a crashed stripe holder blocks that stripe's writers
+    until its next incarnation completes the published intent via
+    {!Make.resume}.  There is deliberately no helping: a helper racing a
+    later same-component commit could clobber the newer value.
 
     Values are serialized with [Marshal]; components must be marshallable
     (no closures, no custom blocks without serializers). *)
@@ -28,7 +32,8 @@ module Make
 
   type config = {
     checkpoint_every : int;
-        (** write a sealed checkpoint every this many commits; 0 = never *)
+        (** each handle seals a checkpoint every this many of its own
+            commits; 0 = never *)
     write_ahead : bool;
         (** [false] flips to a deliberately unsound late-log order (apply
             before append + sync): a scan can observe a value whose record
@@ -55,16 +60,22 @@ module Make
       rebuild atomically. *)
 
   val resume : 'a handle -> unit
-  (** Complete this pid's published intent, if the commit lock holds one
-      from a crashed incarnation.  Recovery bodies call this before
-      resuming work after a plain crash–restart; after a power loss there
-      is nothing to resume (the lock died with the volatile memory). *)
+  (** Complete this pid's published intent, if a stripe holds one from a
+      crashed incarnation, and release the stripes a crashed checkpoint
+      of this pid still holds, at an lsn above every stripe's.  It walks
+      every stripe.  Recovery bodies call this before resuming work after
+      a plain crash–restart; after a power loss there is nothing to
+      resume (the stripes died with the volatile memory). *)
 
   val checkpoint_now : 'a handle -> unit
-  (** Force a sealed checkpoint, serialized through the commit lock.  It
-      seals the committed values the lock guards (no scan of [Inner]),
-      then discards the log before the triple, so it costs the triple's
-      three appends, one sync and one discard. *)
+  (** Force a sealed checkpoint.  It takes every stripe of the commit
+      lock in ascending order, seals the committed values they guard (no
+      scan of [Inner]) with the largest of the stripes' next lsns,
+      discards the log before the triple, and releases every stripe at
+      that lsn.  It costs the triple's three appends, one sync and one
+      discard, plus a read, a CAS and a release per stripe.  An update
+      whose handle has committed [checkpoint_every] times since its last
+      seal runs one after releasing its own stripe. *)
 
   val storage : 'a t -> St.t
 

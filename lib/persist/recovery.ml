@@ -3,14 +3,24 @@
    The recovered state is: the last fully-sealed checkpoint (the last
    [Checkpoint_end] whose generation also has a [Checkpoint_begin] and a
    [Scan_seal] earlier in the log), plus every update record after it
-   replayed in log order.  Because lsns are drawn and records appended
-   under the commit lock, log order is apply order; the lsn-monotone
-   filter makes replay idempotent under the duplicate appends that owner
-   recovery may produce (an intent completed twice appends the same lsn
-   twice, applied once).  The two copies need not be adjacent: a dead
-   incarnation's checkpoint triple, torn or complete, can sit between
-   them, and the filter still drops the second copy (a complete triple
-   sets it to the last lsn the triple covers, the first copy's).
+   replayed in log order.  Commits of one component draw their lsns and
+   append their records under that component's stripe of the commit
+   lock, so a component's log order is its apply order, and its lsns
+   rise along the log; different stripes draw lsns independently, so
+   lsns need not rise across the log.  The filter is therefore per
+   component: an update is kept iff its lsn is above the last complete
+   triple's floor (its [next_lsn - 1]) and above the last lsn kept for
+   its component since that triple.  Every commit after a triple draws
+   an lsn above its floor, because the checkpoint releases every stripe
+   at its [next_lsn].  The fold keeps one lsn per component: a complete
+   triple sets each to its floor, and a kept update raises its own.  The filter makes replay idempotent under the
+   duplicate appends that owner recovery may produce (an intent
+   completed twice appends the same lsn twice, applied once).  The two
+   copies need not be adjacent: other stripes' commits can sit between
+   them, and so can a dead incarnation's checkpoint triple, torn or
+   complete (a complete one's floor covers the first copy's lsn).  On a
+   log whose lsns rise across the log, as a single commit lock writes
+   them, this is the global lsn-monotone filter.
 
    Recovery is one forward fold over the log's frames ([Wal.fold]), in
    place on the device's bytes and with no record list, and it
@@ -46,7 +56,8 @@ type 'a replay = {
   mutable kept : int array;  (** frame offsets of the updates applied
                                  since the base, in log order *)
   mutable replayed : int;  (** the kept offsets in use *)
-  mutable applied_lsn : int;  (** the lsn filter: last lsn applied *)
+  applied : int array;  (** the lsn filter: per component, the last lsn
+                            kept since the base, or the base's floor *)
   mutable gen : int;
   mutable horizon : int;  (** the largest lsn the log mentions *)
 }
@@ -59,7 +70,7 @@ let start ~init =
     base = -1;
     kept = Array.make 64 0;
     replayed = 0;
-    applied_lsn = 0;
+    applied = Array.make (Array.length init) 0;
     gen = 0;
     horizon = 0;
   }
@@ -78,11 +89,11 @@ let step acc log at _len =
   | 'U' ->
     (* A crashed-but-logged commit filtered here still bumps the horizon,
        so re-drawn lsns never collide. *)
-    let lsn = Wal.Frame.lsn log at in
+    let lsn = Wal.Frame.lsn log at and index = Wal.Frame.index log at in
     if lsn > acc.horizon then acc.horizon <- lsn;
-    if lsn > acc.applied_lsn then begin
+    if lsn > acc.applied.(index) then begin
       keep acc at;
-      acc.applied_lsn <- lsn
+      acc.applied.(index) <- lsn
     end
   | 'B' ->
     let next_lsn = Wal.Frame.next_lsn log at in
@@ -95,7 +106,7 @@ let step acc log at _len =
     match (Hashtbl.find_opt acc.begins gen, Hashtbl.find_opt acc.seals gen) with
     | Some next_lsn, Some seal ->
       acc.base <- seal;
-      acc.applied_lsn <- next_lsn - 1;
+      Array.fill acc.applied 0 (Array.length acc.applied) (next_lsn - 1);
       acc.replayed <- 0;
       acc.gen <- gen
     | _ -> ()));
@@ -114,7 +125,7 @@ let finish acc log =
   done;
   {
     values;
-    next_lsn = max acc.applied_lsn acc.horizon + 1;
+    next_lsn = acc.horizon + 1;
     replayed = acc.replayed;
     checkpoint_gen = acc.gen;
   }

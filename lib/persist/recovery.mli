@@ -8,12 +8,16 @@
     the offsets of the updates that pass the lsn filter, a complete
     triple clears them, and when the fold ends the last complete seal is
     unmarshalled once, then the kept updates in log order.  A payload
-    that a later triple supersedes is checked but never decoded.  Log
-    order is apply order (lsns are drawn and records appended
-    under the commit lock), and the lsn-monotone filter makes replay
-    idempotent under owner-recovery duplicate appends.  An incomplete
-    checkpoint (begin without end) is ignored: recovery falls back to the
-    previous sealed triple, or to [init]. *)
+    that a later triple supersedes is checked but never decoded.  A
+    component's log order is its apply order (its lsns are drawn and its
+    records appended under its stripe of the commit lock), and the lsn
+    filter is per component: an update is kept iff its lsn is above the
+    last complete triple's floor ([next_lsn - 1]) and above the last lsn
+    kept for its component since.  That makes replay idempotent under
+    owner-recovery duplicate appends, whatever other stripes' commits
+    sit between the copies.  An incomplete checkpoint (begin without
+    end) is ignored: recovery falls back to the previous sealed triple,
+    or to [init]. *)
 
 type 'a state = {
   values : 'a array;  (** recovered component values *)

@@ -32,7 +32,8 @@
 type record =
   | Update of { lsn : int; pid : int; index : int; payload : string }
       (** one component write, in commit order: [lsn]s are assigned under
-          the commit lock, so log order = apply order by construction *)
+          the component's stripe of the commit lock, so a component's log
+          order = its apply order by construction *)
   | Scan_seal of { gen : int; payload : string }
       (** a sealed full-scan view (marshalled value array), the body of a
           checkpoint *)

@@ -25,7 +25,8 @@
 type record =
   | Update of { lsn : int; pid : int; index : int; payload : string }
       (** one component write, in commit order: lsns are assigned under
-          the commit lock, so log order = apply order by construction *)
+          the component's stripe of the commit lock, so a component's log
+          order = its apply order by construction *)
   | Scan_seal of { gen : int; payload : string }
       (** a sealed full-scan view (marshalled value array), the body of a
           checkpoint *)
@@ -66,7 +67,7 @@ type scratch
 (** A growable buffer that a commit marshals its value into
     ({!Make.append_update}), and a checkpoint its view
     ({!Make.append_seal}).  Not thread-safe: one writer at a time, such
-    as the holder of a commit lock. *)
+    as the durable handle that owns it. *)
 
 val scratch : unit -> scratch
 

@@ -2,8 +2,9 @@
    (golden frame bytes, the checksum's test vectors, empty log, torn
    tail, checksum corruption mid-log, checksummed bodies of the wrong
    shape, every single-bit flip of a frame, checkpoint-begin without
-   end, duplicate-lsn dedup, double-recovery idempotence), the
-   one-pass replay against the two-walk reference on random logs,
+   end, duplicate-lsn dedup, lsns of two stripes interleaved in the log,
+   double-recovery idempotence), the one-pass replay against the
+   two-walk reference on random logs,
    discarding a device's prefix (refused past the synced bytes, and a
    later blackout tears the same tail), what a checkpoint seals, the
    checkpoint triple, the log a checkpoint leaves (one triple and the
@@ -11,7 +12,8 @@
    simulated cells keep, and the durable snapshot under simulated power
    losses — a mini exhaustive sweep, also with a checkpoint every two
    commits (a blackout at every schedule point must recover to a
-   durably-linearizable state),
+   durably-linearizable state), two domains committing and sealing on
+   one store over the multicore device,
    plain crash–restart intent resumption, checkpointed recovery, and the
    committed E18 witness schedule, which must drive the deliberately
    unsound late-log mode to a committed-then-lost violation while
@@ -148,12 +150,69 @@ let test_duplicate_lsn_dedup () =
       check_int "next lsn" 3 st.Recovery.next_lsn)
     [ ([ begin_; seal ], 2); ([ begin_; seal; end_ ], 1) ]
 
+(* Each stripe of the commit lock draws its own lsns, so a stripe's
+   lower lsn can follow another's higher one in the log: the lsn filter is
+   per component, and keeps both. *)
+let test_interleaved_stripes () =
+  let records =
+    [
+      upd ~lsn:1 ~index:0 10;
+      upd ~lsn:2 ~index:0 11;
+      upd ~lsn:3 ~index:0 12;
+      upd ~lsn:1 ~index:1 20;
+      upd ~lsn:4 ~index:0 13;
+      upd ~lsn:2 ~index:1 21;
+    ]
+  in
+  let st = Recovery.replay ~init:[| -1; -2 |] records in
+  check_bool "both stripes' last values" true (ints_of st = [| 13; 21 |]);
+  check_int "every update replayed" 6 st.Recovery.replayed;
+  check_int "next lsn above every stripe's" 5 st.Recovery.next_lsn;
+  (* a checkpoint releases every stripe at its next_lsn: the commits
+     after its triple are above its floor, whatever their stripe *)
+  let st =
+    Recovery.replay ~init:[| -1; -2 |]
+      (records
+      @ [
+          Wal.Checkpoint_begin { gen = 1; next_lsn = 5 };
+          Wal.Scan_seal { gen = 1; payload = Marshal.to_string [| 13; 21 |] [] };
+          Wal.Checkpoint_end { gen = 1 };
+          upd ~lsn:6 ~index:0 14;
+          upd ~lsn:5 ~index:1 22;
+        ])
+  in
+  check_bool "the seal plus both stripes" true (ints_of st = [| 14; 22 |]);
+  check_int "both replayed past the triple" 2 st.Recovery.replayed;
+  check_int "from the triple" 1 st.Recovery.checkpoint_gen;
+  check_int "next lsn" 7 st.Recovery.next_lsn
+
+(* A resumed commit re-appends its intent's lsn, and other stripes'
+   commits may land between the two copies: the second copy is still
+   dropped, even once its component has moved on. *)
+let test_duplicate_across_stripes () =
+  let st =
+    Recovery.replay ~init:[| -1; -2 |]
+      [
+        upd ~lsn:3 ~index:0 10;
+        upd ~lsn:7 ~index:1 20;
+        upd ~lsn:3 ~index:0 10;
+        upd ~lsn:4 ~index:0 11;
+        upd ~lsn:8 ~index:1 21;
+        upd ~lsn:3 ~index:0 10;
+      ]
+  in
+  check_bool "values" true (ints_of st = [| 11; 21 |]);
+  check_int "each copy applied once" 4 st.Recovery.replayed;
+  check_int "next lsn" 9 st.Recovery.next_lsn
+
 (* ---- replay equivalence ----
 
    The two-walk replay recovery used before it became one fold: find the
    last complete triple, then replay the suffix after it, then raise the
-   lsn horizon over the whole log.  Kept here only as the reference the
-   fold must agree with. *)
+   lsn horizon over the whole log.  Its filter is the per-component one:
+   an update is replayed iff its lsn is above the triple's floor and
+   above the last lsn replayed for its component.  Kept here only as the
+   reference the fold must agree with. *)
 let reference_replay ~init records =
   let recs = Array.of_list records in
   let n = Array.length recs in
@@ -179,16 +238,18 @@ let reference_replay ~init records =
     | None -> (Array.copy init, 0, 0, 0)
   in
   let values = Array.copy base in
-  let last_lsn = ref last_lsn0 in
+  let applied = Array.make (Array.length init) last_lsn0 in
   let replayed = ref 0 in
   for at = start to n - 1 do
     match recs.(at) with
-    | Wal.Update { lsn; index; payload; _ } when lsn > !last_lsn ->
+    | Wal.Update { lsn; index; payload; _ } when lsn > applied.(index) ->
       values.(index) <- Marshal.from_string payload 0;
-      last_lsn := lsn;
+      applied.(index) <- lsn;
       incr replayed
     | _ -> ()
   done;
+  (* lsns start at 1: a triple claiming a lower next_lsn lowers none *)
+  let last_lsn = ref (max 0 last_lsn0) in
   Array.iter
     (fun r ->
       match r with
@@ -204,33 +265,42 @@ let reference_replay ~init records =
     checkpoint_gen = gen;
   }
 
-(* A random log over [m] components: monotone, duplicate and stale lsns;
-   complete, partial and out-of-order triples; and truncations, after
+(* A random log over [m] components whose lsns are drawn per stripe, as
+   the commit lock's stripes draw them: component [i] in stripe
+   [i land 1], so lsns rise per component and interleave across the two
+   stripes.  Also duplicate and stale lsns; complete, partial and
+   out-of-order triples (a complete one restarts both stripes at its
+   next_lsn, as a checkpoint releases them); and truncations, after
    which generation numbers are drawn again from below. *)
 let random_log ~m rng =
   let int n = Random.State.int rng n in
-  let log = ref [] and lsn = ref 0 and gen = ref 0 in
+  let log = ref [] and lsns = [| 0; 0 |] and gen = ref 0 in
+  let top () = max lsns.(0) lsns.(1) in
   let emit r = log := r :: !log in
-  let update lsn = emit (upd ~lsn ~index:(int m) (int 1000)) in
+  let update i lsn = emit (upd ~lsn ~index:i (int 1000)) in
   let seal gen =
     let view = Array.init m (fun _ -> int 1000) in
     Wal.Scan_seal { gen; payload = Marshal.to_string view [] }
   in
   for _ = 1 to int 40 do
+    let i = int m in
+    let s = i land 1 in
     match int 12 with
     | 0 | 1 | 2 | 3 ->
-      incr lsn;
-      update !lsn
-    | 4 -> update !lsn
-    | 5 -> update (int (!lsn + 1))
+      lsns.(s) <- lsns.(s) + 1;
+      update i lsns.(s)
+    | 4 -> update i lsns.(s)
+    | 5 -> update i (int (lsns.(s) + 1))
     | 6 | 7 ->
       incr gen;
-      emit (Wal.Checkpoint_begin { gen = !gen; next_lsn = !lsn + 1 });
+      let floor = top () in
+      emit (Wal.Checkpoint_begin { gen = !gen; next_lsn = floor + 1 });
       emit (seal !gen);
-      emit (Wal.Checkpoint_end { gen = !gen })
+      emit (Wal.Checkpoint_end { gen = !gen });
+      Array.fill lsns 0 2 floor
     | 8 -> (
       incr gen;
-      let b = Wal.Checkpoint_begin { gen = !gen; next_lsn = int (!lsn + 2) }
+      let b = Wal.Checkpoint_begin { gen = !gen; next_lsn = int (top () + 2) }
       and e = Wal.Checkpoint_end { gen = !gen } in
       List.iter emit
         (match int 5 with
@@ -582,16 +652,20 @@ let test_checkpoint_seals_committed () =
   let t = DA.create_with ~n:1 init in
   let h = DA.handle t ~pid:0 in
   let rng = Random.State.make [| 42 |] in
-  let shadow = Array.copy init in
+  let shadow = Array.copy init and writes = Array.make m 0 in
   let write () =
     let i = Random.State.int rng m and v = Random.State.int rng 1_000_000 in
     DA.update h i v;
-    shadow.(i) <- v
+    shadow.(i) <- v;
+    writes.(i) <- writes.(i) + 1
   in
   for _ = 1 to 40 do
     write ()
   done;
   let sealed = Array.copy shadow in
+  (* Each of the 16 components has a stripe of its own, whose lsns count
+     its commits; the checkpoint seals the largest next lsn. *)
+  let next_lsn = 1 + Array.fold_left max 0 writes in
   DA.checkpoint_now h;
   let dev = DA.storage t in
   let triple_end = St.size dev in
@@ -615,7 +689,7 @@ let test_checkpoint_seals_committed () =
     (ints_of st = sealed);
   check_int "nothing replayed past the triple" 0 st.Recovery.replayed;
   check_int "generation 1" 1 st.Recovery.checkpoint_gen;
-  check_int "lsns restart past the sealed ones" 41 st.Recovery.next_lsn
+  check_int "lsns restart past every stripe's" next_lsn st.Recovery.next_lsn
 
 (* ---- discarding a log's prefix ---- *)
 
@@ -748,6 +822,54 @@ let test_log_holds_one_interval () =
   Interval_mc.run ();
   check_bool "checkpoints counted the bytes they discarded" true
     (Metrics.(get Durable.discarded_bytes) > 0)
+
+(* ---- two domains on one store ----
+
+   Two domains commit to overlapping components of one store over the
+   multicore device, and each seals a checkpoint every 3 of its commits,
+   so seals race the other domain's commits.  After the join, recovery
+   from the device alone must equal the live store, and each component
+   must hold the last write of a domain that wrote it: domain 0 alone
+   writes components 0..3, domain 1 alone 12..15, both 4..11. *)
+
+module D2 = Persist.Durable.Make (Mem.Atomic) (Mc_fig3) (StMc)
+
+let test_two_domains () =
+  let m = 16 and commits = 3000 in
+  let config = { D2.default_config with D2.checkpoint_every = 3 } in
+  let init = Array.make m (-1) in
+  let t = D2.create_with ~config ~n:2 init in
+  let component d k = (4 * d) + (k mod 12) and value d k = (2 * k) + d in
+  let writer d () =
+    let h = D2.handle t ~pid:d in
+    for k = 0 to commits - 1 do
+      D2.update h (component d k) (value d k)
+    done
+  in
+  List.iter Domain.join (List.init 2 (fun d -> Domain.spawn (writer d)));
+  let last = Array.make_matrix 2 m (-1) in
+  for d = 0 to 1 do
+    for k = 0 to commits - 1 do
+      last.(d).(component d k) <- value d k
+    done
+  done;
+  let all = Array.init m Fun.id in
+  let live = D2.scan (D2.handle t ~pid:0) all in
+  Array.iteri
+    (fun i v ->
+      let by d = last.(d).(i) >= 0 && v = last.(d).(i) in
+      if not (by 0 || by 1) then
+        Alcotest.failf "component %d holds %d, no domain's last write" i v;
+      if (i < 4 && not (by 0)) || (i >= 12 && not (by 1)) then
+        Alcotest.failf "component %d lost its only writer's last write" i)
+    live;
+  check_bool "seals ran" true (D2.generation t > 0);
+  let st, damage = RMc.load (D2.storage t) ~init in
+  check_bool "clean" true (damage = Wal.Clean);
+  check_bool "the device recovers the live store" true (ints_of st = live);
+  let r = D2.recover ~config (D2.storage t) ~n:1 init in
+  check_bool "recover rebuilds the live store" true
+    (D2.scan (D2.handle r ~pid:0) all = live)
 
 (* ---- the durable snapshot under the simulator ----
 
@@ -883,6 +1005,10 @@ let () =
             test_begin_without_end;
           Alcotest.test_case "duplicate lsn dedup" `Quick
             test_duplicate_lsn_dedup;
+          Alcotest.test_case "a stripe's lower lsn after another's higher"
+            `Quick test_interleaved_stripes;
+          Alcotest.test_case "a duplicate across another stripe's commit"
+            `Quick test_duplicate_across_stripes;
           Alcotest.test_case "one pass matches the two-walk reference" `Quick
             test_replay_matches_reference;
           Alcotest.test_case "checkpoint roundtrip" `Quick
@@ -899,6 +1025,8 @@ let () =
             test_commit_allocates_little;
           Alcotest.test_case "simulated cells keep their names" `Quick
             test_sim_cell_names;
+          Alcotest.test_case "two domains commit and seal on Mc" `Quick
+            test_two_domains;
         ] );
       ( "power-loss",
         [

@@ -409,17 +409,25 @@ let checksum_prop =
    devices to what an eager replay of its decoded records gives.  The
    eager replay is recovery as it was before unmarshalling was deferred:
    each update is unmarshalled as it is read, and each complete triple
-   resets the base to its unmarshalled seal.  The logs hold duplicate and
-   stale lsns, complete, partial and out-of-order triples, generations
+   resets the base to its unmarshalled seal; an update is applied iff its
+   lsn is above the last lsn applied to its component since the triple,
+   or the triple's floor.  The logs draw lsns per stripe of the commit
+   lock (component [i] in stripe [i land 1]), so lsns rise per component
+   and interleave across stripes.  They hold duplicate and stale lsns,
+   complete, partial and out-of-order triples, generations
    drawn again after a truncation, and optionally a torn tail and one
    flipped byte.  Some triples are checkpoints the engine writes on the
    device, and each discards the log before it: the device must then
    hold, and recover from, exactly the log from the last of them on. *)
 type wal_op =
-  | Commit of int * int  (** index, value: at the next lsn *)
-  | Again of int * int  (** the last lsn once more: an owner's re-append *)
-  | Stale of int * int * int  (** an lsn this far below the last one *)
-  | Triple of int array  (** a complete checkpoint sealing this view *)
+  | Commit of int * int  (** index, value: at its stripe's next lsn *)
+  | Again of int * int
+      (** its stripe's last lsn once more: an owner's re-append *)
+  | Stale of int * int * int
+      (** an lsn this far below its stripe's last one *)
+  | Triple of int array
+      (** a complete checkpoint sealing this view; both stripes restart
+          at its next_lsn *)
   | Checkpoint of int array
       (** the same, written by [Checkpoint.write], which then discards
           the log before it *)
@@ -473,7 +481,8 @@ let wal_case_gen =
    of each [Checkpoint]'s triple. *)
 let records_of_ops ops =
   let module Wal = Persist.Wal in
-  let log = ref [] and len = ref 0 and lsn = ref 0 and gen = ref 0 in
+  let log = ref [] and len = ref 0 and lsns = [| 0; 0 |] and gen = ref 0 in
+  let top () = max lsns.(0) lsns.(1) in
   let sealed = ref [] in
   let emit r =
     log := r :: !log;
@@ -487,17 +496,19 @@ let records_of_ops ops =
   in
   let triple view =
     incr gen;
-    emit (Wal.Checkpoint_begin { gen = !gen; next_lsn = !lsn + 1 });
+    let floor = top () in
+    emit (Wal.Checkpoint_begin { gen = !gen; next_lsn = floor + 1 });
     emit (seal !gen view);
-    emit (Wal.Checkpoint_end { gen = !gen })
+    emit (Wal.Checkpoint_end { gen = !gen });
+    Array.fill lsns 0 2 floor
   in
   List.iter
     (function
       | Commit (i, v) ->
-        incr lsn;
-        update !lsn i v
-      | Again (i, v) -> update !lsn i v
-      | Stale (k, i, v) -> update (max 0 (!lsn - k)) i v
+        lsns.(i land 1) <- lsns.(i land 1) + 1;
+        update lsns.(i land 1) i v
+      | Again (i, v) -> update lsns.(i land 1) i v
+      | Stale (k, i, v) -> update (max 0 (lsns.(i land 1) - k)) i v
       | Triple view -> triple view
       | Checkpoint view ->
         sealed := !len :: !sealed;
@@ -505,7 +516,7 @@ let records_of_ops ops =
       | Partial (shape, lag, view) ->
         incr gen;
         let b =
-          Wal.Checkpoint_begin { gen = !gen; next_lsn = max 0 (!lsn + 1 - lag) }
+          Wal.Checkpoint_begin { gen = !gen; next_lsn = max 0 (top () + 1 - lag) }
         and s = seal !gen view
         and e = Wal.Checkpoint_end { gen = !gen } in
         List.iter emit
@@ -581,15 +592,16 @@ let log_of_case c =
 let eager_replay ~init records =
   let module Wal = Persist.Wal in
   let begins = Hashtbl.create 4 and seals = Hashtbl.create 4 in
-  let values = ref (Array.copy init) and applied = ref 0 and replayed = ref 0 in
+  let values = ref (Array.copy init) and replayed = ref 0 in
+  let applied = Array.make (Array.length init) 0 in
   let gen = ref 0 and horizon = ref 0 in
   List.iter
     (function
       | Wal.Update { lsn; index; payload; _ } ->
         horizon := max !horizon lsn;
-        if lsn > !applied then begin
+        if lsn > applied.(index) then begin
           !values.(index) <- Marshal.from_string payload 0;
-          applied := lsn;
+          applied.(index) <- lsn;
           incr replayed
         end
       | Wal.Checkpoint_begin { gen; next_lsn } ->
@@ -600,14 +612,14 @@ let eager_replay ~init records =
         match (Hashtbl.find_opt begins g, Hashtbl.find_opt seals g) with
         | Some next_lsn, Some payload ->
           values := Marshal.from_string payload 0;
-          applied := next_lsn - 1;
+          Array.fill applied 0 (Array.length applied) (next_lsn - 1);
           replayed := 0;
           gen := g
         | _ -> ()))
     records;
   {
     Persist.Recovery.values = !values;
-    next_lsn = max !applied !horizon + 1;
+    next_lsn = !horizon + 1;
     replayed = !replayed;
     checkpoint_gen = !gen;
   }

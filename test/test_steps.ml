@@ -6,8 +6,10 @@
      of the component's cell;
    - a sharded update is its shard's update, nothing more: the fresh box
      it installs is the version a scan validates;
-   - a durable update adds the commit lock's read and CAS, the WAL
-     append and sync, and the lock's release: 9.
+   - a durable update adds its stripe of the commit lock's read and CAS,
+     the WAL append and sync, and the stripe's release: 9.  Two updaters
+     of components in different stripes each pay exactly that; two of
+     one component do not, the waiter spins on the held stripe.
    A quiet scan of r components inside one shard is its double collect,
    2r reads. *)
 
@@ -50,6 +52,33 @@ module Lone (S : Snapshot.S) = struct
     steps (List.map (fun (i, v) h -> S.update h i v) [ (0, 1); (1, 2); (0, 3) ])
 end
 
+(* [Pair (S).steps ops0 ops1]: the steps of each of [ops0] (run by pid
+   0) and of [ops1] (run by pid 1), under round-robin, on one fresh
+   [m]-component object. *)
+module Pair (S : Snapshot.S) = struct
+  let steps ops0 ops1 =
+    Persist.Storage.Sim.reset ();
+    Sim.reset_prerun_oids ();
+    let t = S.create ~n:2 (Array.init m Fun.id) in
+    let out = [| []; [] |] in
+    let body pid ops () =
+      let h = S.handle t ~pid in
+      List.iter
+        (fun op ->
+          let s0 = Sim.steps_of pid in
+          op h;
+          out.(pid) <- (Sim.steps_of pid - s0) :: out.(pid))
+        ops
+    in
+    ignore
+      (Sim.run ~sched:(Scheduler.round_robin ()) [| body 0 ops0; body 1 ops1 |]);
+    (List.rev out.(0), List.rev out.(1))
+
+  let updates ixs0 ixs1 =
+    let ops = List.map (fun i h -> S.update h i (i + 100)) in
+    steps (ops ixs0) (ops ixs1)
+end
+
 let check_each label expected got =
   Alcotest.(check (list int)) label (List.map (fun _ -> expected) got) got
 
@@ -65,6 +94,23 @@ let test_durable_update () =
   let module L = Lone (Store) in
   check_each "durable update: lock read + CAS, 4, append, sync, release" 9
     (L.updates ())
+
+(* Components 0..3 sit in stripes 0..3, and in shard 0 together: only
+   the commit lock could make them wait. *)
+let test_durable_pair_disjoint () =
+  let module P = Pair (Store) in
+  let s0, s1 = P.updates [ 0; 2; 0 ] [ 1; 3; 1 ] in
+  check_each "pid 0: 9 per update, as alone" 9 s0;
+  check_each "pid 1: 9 per update, as alone" 9 s1
+
+(* Both take component 0's stripe in the same round: pid 0 wins it and
+   pays 9; pid 1's CAS fails, and it reads the held stripe once per round
+   until pid 0's release (7 reads), then commits alone: 9 + 1 + 7. *)
+let test_durable_pair_same_component () =
+  let module P = Pair (Store) in
+  let s0, s1 = P.updates [ 0 ] [ 0 ] in
+  Alcotest.(check (list int)) "pid 0 wins the stripe" [ 9 ] s0;
+  Alcotest.(check (list int)) "pid 1 waits on it" [ 17 ] s1
 
 (* Range placement puts components 0..7 in shard 0. *)
 let test_quiet_single_shard_scan () =
@@ -86,6 +132,13 @@ let () =
           Alcotest.test_case "fig3 update = 4" `Quick test_fig3_update;
           Alcotest.test_case "sharded update = 4" `Quick test_sharded_update;
           Alcotest.test_case "durable update = 9" `Quick test_durable_update;
+        ] );
+      ( "two writers",
+        [
+          Alcotest.test_case "durable, different stripes = 9 each" `Quick
+            test_durable_pair_disjoint;
+          Alcotest.test_case "durable, one component: the waiter spins" `Quick
+            test_durable_pair_same_component;
         ] );
       ( "quiet scan",
         [
